@@ -6,37 +6,22 @@ experiment (:mod:`repro.experiments.throughput`) and writes
 
 The committed gates (asserted by the test functions here):
 
-* **calibrated** handshakes/sec at 4 workers is >= 2.5x sequential on
-  the object-side scale batch.  Calibrated throughput prices each
-  handshake's metered §IX-B ops on the paper's quad-core Raspberry Pi 3
-  and packs the batch greedily onto the worker lanes, so the gate is
-  deterministic on any host (including single-CPU CI runners, where a
-  real process pool cannot win wall-clock).
-* **wall-clock** handshakes/sec at 4 workers beats sequential (> 1.0x)
-  — only meaningful with real parallel silicon, so it skips on hosts
-  with fewer than 4 CPUs.
+* **calibrated** handshakes/sec at 4 lanes is >= 2.5x one lane on the
+  object-side and subject-side scale batches.  Calibrated throughput
+  prices each sequential handshake's metered §IX-B ops on the paper's
+  hardware (the quad-core Raspberry Pi 3 object, the Nexus 6 subject)
+  and packs the batch greedily onto compute lanes, so the gate is
+  deterministic on any host.
 * the **sequential wall floor gate**: the scalar object-side path must
   reach 2,500 handshakes/s, or — on hosts whose raw OpenSSL ops cap the
   theoretical maximum below that — 55% of this host's measured crypto
   floor (3 verifies + 1 ECDH derive; :func:`measure_crypto_floor`).
   The floor-relative form means the gate measures *our* overhead, not
   the CI container's clock speed.
-* the **combined gate**: sequential + batched-x4 passes over the same
-  n=1000 batch together sustain 5,000 object-side handshakes/s (or the
-  host's floor rate when that is lower); needs >= 4 CPUs, skips below.
 * the **smoke regression guard**: floor-normalized sequential
   efficiency (seq hs/s ÷ floor hs/s) must stay within 20% of the
   committed baseline's — catches scalar-path regressions on any host,
   any size, because the normalization cancels the hardware out.
-* batching reopens **no side channel**: over a mixed fellow/non-fellow
-  batched capture, the structural distinguisher's advantage is exactly
-  0.0 and the RES2 ciphertext length spread is 0.
-* the batched path's aggregate §IX-B meter counts equal the sequential
-  path's, and (with the AEAD IV pinned) its RES2s are byte-identical.
-
-All wall measurements share one warm worker pool per run; its spawn
-cost is reported separately as ``pool.startup_s``, never inside a
-timed region.
 """
 
 import argparse
@@ -48,26 +33,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.attacks.channel import CapturedExchange
-from repro.attacks.distinguisher import res2_length_spread, subject_advantage
-from repro.crypto import aead
-from repro.crypto.meter import metered
-from repro.crypto.workpool import CryptoWorkerPool, fork_available
 from repro.experiments.throughput import (
     CALIBRATED_GATE_AT_4,
-    COMBINED_WALL_GATE_HPS,
+    LANE_SWEEP,
     SEQUENTIAL_FLOOR_FRACTION,
     SEQUENTIAL_WALL_GATE_HPS,
-    make_wide_fleet,
     measure_crypto_floor,
     measure_object_scale,
     measure_subject_scale,
-    prepare_object_batch,
-    _clone_object_engine,
 )
 from repro.pki import profile as profile_mod
-from repro.protocol.object import ObjectEngine
-from repro.protocol.subject import SubjectEngine
 
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_throughput.json"
 
@@ -96,116 +71,21 @@ def sequential_wall_target(floor_hps: float) -> float:
     return min(SEQUENTIAL_WALL_GATE_HPS, SEQUENTIAL_FLOOR_FRACTION * floor_hps)
 
 
-def capture_batched_exchanges(
-    n: int = 32, workers: int = 2
-) -> tuple[list[CapturedExchange], list[CapturedExchange]]:
-    """Air-captures of a mixed batch, split (level3 fellows, level2 rest).
-
-    The object answers every QUE2 through ``handle_que2_batch`` with a
-    live worker pool — the exact code path the drain uses — so these are
-    the frames an eavesdropper sees when batching is on.
-    """
-    subjects, obj, _backend = make_wide_fleet(n)
-    engine = ObjectEngine(obj, session_limit=n + 16)
-    captures: list[CapturedExchange] = []
-    items = []
-    for i, screds in enumerate(subjects):
-        subject = SubjectEngine(screds)
-        que1 = subject.start_round()
-        res1 = engine.handle_que1(que1, f"peer-{i:04d}")
-        que2 = subject.handle_res1(res1, "obj-0")
-        assert que2 is not None, subject.errors
-        captures.append(CapturedExchange(que1=que1, res1=res1, que2=que2))
-        items.append((que2, f"peer-{i:04d}"))
-    with CryptoWorkerPool(workers if fork_available() else 0) as pool:
-        res2s = engine.handle_que2_batch(items, pool)
-    for capture, res2 in zip(captures, res2s):
-        assert res2 is not None, engine.errors
-        capture.res2 = res2
-    fellows = [c for i, c in enumerate(captures) if i % 2 == 0]
-    others = [c for i, c in enumerate(captures) if i % 2 == 1]
-    return fellows, others
-
-
-def measure_equivalence(n: int = 32, workers: int = 2) -> dict:
-    """Sequential vs batched on identical cloned sessions: bytes + meters.
-
-    The AEAD IV is pinned to a counter for both runs (the only
-    randomness on the object's RES2 path), so byte-comparison is exact;
-    meter totals are compared unpinned-order-independent Counters.
-    """
-    obj, reference, items = prepare_object_batch(n)
-
-    real_random_bytes = aead.random_bytes
-
-    def run(batched: bool) -> tuple[list[bytes], dict]:
-        counter = 0
-
-        def pinned(length: int) -> bytes:
-            nonlocal counter
-            counter += 1
-            return (counter.to_bytes(4, "big") * (length // 4 + 1))[:length]
-
-        engine = _clone_object_engine(obj, reference)
-        profile_mod.clear_verify_cache()
-        aead.random_bytes = pinned
-        try:
-            with metered() as tally:
-                if batched:
-                    with CryptoWorkerPool(workers if fork_available() else 0) as pool:
-                        res2s = engine.handle_que2_batch(items, pool)
-                else:
-                    res2s = [engine.handle_que2(q, p) for q, p in items]
-        finally:
-            aead.random_bytes = real_random_bytes
-        assert all(r is not None for r in res2s), engine.errors[:3]
-        return [r.to_bytes() for r in res2s], dict(tally.counts)
-
-    seq_bytes, seq_meters = run(batched=False)
-    bat_bytes, bat_meters = run(batched=True)
+def _result_to_json(result) -> dict:
     return {
-        "n": n,
-        "res2_bytes_identical": seq_bytes == bat_bytes,
-        "meters_identical": seq_meters == bat_meters,
-        "sequential_meter_ops": sum(seq_meters.values()),
-        "batched_meter_ops": sum(bat_meters.values()),
+        "n": result.n,
+        "sequential_wall_s": round(result.wall_s, 4),
+        "sequential_wall_handshakes_per_s": round(result.wall_hps, 2),
+        "calibrated": [
+            {
+                "lanes": lanes,
+                "calibrated_s": round(result.calibrated_s(lanes), 4),
+                "calibrated_handshakes_per_s": round(result.calibrated_hps(lanes), 2),
+                "calibrated_speedup": round(result.calibrated_speedup(lanes), 3),
+            }
+            for lanes in LANE_SWEEP
+        ],
     }
-
-
-def measure_indistinguishability(n: int = 32) -> dict:
-    fellows, others = capture_batched_exchanges(n)
-    return {
-        "n": n,
-        "subject_advantage": subject_advantage(fellows, others),
-        "res2_length_spread": res2_length_spread(fellows + others),
-    }
-
-
-def _results_to_json(results) -> list[dict]:
-    base = results[0]
-    return [
-        {
-            "config": r.label,
-            "workers": r.workers,
-            "n": r.n,
-            "wall_s": round(r.wall_s, 4),
-            "wall_handshakes_per_s": round(r.wall_hps, 2),
-            "calibrated_s": round(r.calibrated_s, 4),
-            "calibrated_handshakes_per_s": round(r.calibrated_hps, 2),
-            "calibrated_speedup": round(r.calibrated_hps / base.calibrated_hps, 3),
-            "wall_speedup": round(r.wall_hps / base.wall_hps, 3),
-        }
-        for r in results
-    ]
-
-
-def _combined_wall_hps(results) -> float:
-    """Sequential + batched-x4 passes over the same batch, together."""
-    seq = results[0]
-    bat4 = next((r for r in results if r.workers == 4), None)
-    if bat4 is None:
-        return 0.0
-    return (seq.n + bat4.n) / (seq.wall_s + bat4.wall_s)
 
 
 # -- gates ---------------------------------------------------------------------
@@ -216,72 +96,34 @@ def scale_n(request) -> int:
     return SMOKE_N if request.config.getoption("--smoke") else FULL_N
 
 
-@pytest.fixture(scope="module")
-def warm_pool():
-    """One warm 4-worker pool shared by every gate in this module —
-    worker spawn happens once, recorded in ``pool.startup_s``."""
-    with CryptoWorkerPool(4).warm() as pool:
-        yield pool
+def test_calibrated_speedup_gate_object_side(scale_n):
+    """>= 2.5x calibrated handshakes/sec at 4 lanes (deterministic)."""
+    result = measure_object_scale(scale_n)
+    speedup = result.calibrated_speedup(4)
+    assert speedup >= CALIBRATED_GATE_AT_4, _result_to_json(result)
 
 
-def test_calibrated_speedup_gate_object_side(scale_n, warm_pool):
-    """>= 2.5x calibrated handshakes/sec at 4 workers (deterministic)."""
-    results = measure_object_scale(scale_n, workers_sweep=(None, 4), pool=warm_pool)
-    speedup = results[1].calibrated_hps / results[0].calibrated_hps
-    assert speedup >= CALIBRATED_GATE_AT_4, _results_to_json(results)
+def test_calibrated_speedup_gate_subject_side(scale_n):
+    result = measure_subject_scale(scale_n)
+    speedup = result.calibrated_speedup(4)
+    assert speedup >= CALIBRATED_GATE_AT_4, _result_to_json(result)
 
 
-def test_calibrated_speedup_gate_subject_side(scale_n, warm_pool):
-    results = measure_subject_scale(scale_n, workers_sweep=(None, 4), pool=warm_pool)
-    speedup = results[1].calibrated_hps / results[0].calibrated_hps
-    assert speedup >= CALIBRATED_GATE_AT_4, _results_to_json(results)
-
-
-def test_sequential_wall_floor_gate(scale_n, warm_pool):
+def test_sequential_wall_floor_gate(scale_n):
     """The scalar path must reach 2,500 hs/s — or 55% of this host's
     measured crypto floor where the absolute bar is out of physical
     reach (raw per-op OpenSSL costs alone exceed 1/2500 s)."""
     floor = host_crypto_floor()
-    results = measure_object_scale(scale_n, workers_sweep=(None,), pool=warm_pool)
+    result = measure_object_scale(scale_n)
     target = sequential_wall_target(floor["floor_hps"])
-    assert results[0].wall_hps >= target, {
-        "sequential_wall_hps": results[0].wall_hps,
+    assert result.wall_hps >= target, {
+        "sequential_wall_hps": result.wall_hps,
         "target": target,
         "floor": floor,
     }
 
 
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 4 or not fork_available(),
-    reason="wall-clock pool speedup needs >= 4 real CPUs and fork",
-)
-def test_wallclock_speedup_at_4_workers(scale_n, warm_pool):
-    """Batched x4 beats sequential wall-clock — only on parallel hardware."""
-    results = measure_object_scale(scale_n, workers_sweep=(None, 4), pool=warm_pool)
-    speedup = results[1].wall_hps / results[0].wall_hps
-    assert speedup > 1.0, _results_to_json(results)
-
-
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 4 or not fork_available(),
-    reason="the combined 5k gate needs >= 4 real CPUs and fork",
-)
-def test_combined_wall_gate(scale_n, warm_pool):
-    """Sequential + batched-x4 together sustain 5,000 hs/s (or the
-    host's single-core crypto floor rate, when that is lower)."""
-    floor = host_crypto_floor()
-    results = measure_object_scale(scale_n, workers_sweep=(None, 4), pool=warm_pool)
-    combined = _combined_wall_hps(results)
-    target = min(COMBINED_WALL_GATE_HPS, floor["floor_hps"])
-    assert combined >= target, {
-        "combined_wall_hps": combined,
-        "target": target,
-        "floor": floor,
-        "results": _results_to_json(results),
-    }
-
-
-def test_sequential_wall_regression_guard(scale_n, warm_pool):
+def test_sequential_wall_regression_guard(scale_n):
     """Floor-normalized scalar throughput vs the committed baseline.
 
     Efficiency = sequential hs/s ÷ this host's floor hs/s cancels the
@@ -295,11 +137,11 @@ def test_sequential_wall_regression_guard(scale_n, warm_pool):
     if not base_floor or "sequential_efficiency" not in base_floor:
         pytest.skip("baseline predates the crypto-floor field; regenerate it")
     floor = host_crypto_floor()
-    results = measure_object_scale(scale_n, workers_sweep=(None,), pool=warm_pool)
-    efficiency = results[0].wall_hps / floor["floor_hps"]
+    result = measure_object_scale(scale_n)
+    efficiency = result.wall_hps / floor["floor_hps"]
     allowed = base_floor["sequential_efficiency"] * (1.0 - REGRESSION_TOLERANCE)
     assert efficiency >= allowed, {
-        "sequential_wall_hps": results[0].wall_hps,
+        "sequential_wall_hps": result.wall_hps,
         "efficiency": round(efficiency, 4),
         "baseline_efficiency": base_floor["sequential_efficiency"],
         "allowed_min": round(allowed, 4),
@@ -307,38 +149,19 @@ def test_sequential_wall_regression_guard(scale_n, warm_pool):
     }
 
 
-def test_batched_captures_close_no_side_channel():
-    indist = measure_indistinguishability()
-    assert indist["subject_advantage"] == 0.0, indist
-    assert indist["res2_length_spread"] == 0, indist
-
-
-def test_batched_equals_sequential_bytes_and_meters():
-    equiv = measure_equivalence()
-    assert equiv["res2_bytes_identical"], equiv
-    assert equiv["meters_identical"], equiv
-
-
 # -- baseline ------------------------------------------------------------------
 
 
 def _measure_all(n: int) -> dict:
-    """The full scale experiment behind one shared warm pool."""
     floor = host_crypto_floor()
     profile_mod.clear_verify_cache()
-    with CryptoWorkerPool(4).warm() as pool:
-        object_side = measure_object_scale(n, pool=pool)
-        subject_side = measure_subject_scale(n, pool=pool)
-        pool_stats = pool.stats()
-    sequential_efficiency = round(
-        object_side[0].wall_hps / floor["floor_hps"], 4
-    )
+    object_side = measure_object_scale(n)
+    subject_side = measure_subject_scale(n)
+    sequential_efficiency = round(object_side.wall_hps / floor["floor_hps"], 4)
     return {
         "crypto_floor": {**floor, "sequential_efficiency": sequential_efficiency},
-        "object_side": _results_to_json(object_side),
-        "subject_side": _results_to_json(subject_side),
-        "combined_wall_handshakes_per_s": round(_combined_wall_hps(object_side), 2),
-        "pool": pool_stats,
+        "object_side": _result_to_json(object_side),
+        "subject_side": _result_to_json(subject_side),
     }
 
 
@@ -349,27 +172,22 @@ def write_baseline(path: Path = BASELINE_PATH, n: int = FULL_N) -> dict:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "host_cpus": os.cpu_count(),
-        "fork_available": fork_available(),
         "gate": {
-            "calibrated_speedup_at_4_workers_min": CALIBRATED_GATE_AT_4,
+            "calibrated_speedup_at_4_lanes_min": CALIBRATED_GATE_AT_4,
             "sequential_wall_hps_min": SEQUENTIAL_WALL_GATE_HPS,
             "sequential_floor_fraction": SEQUENTIAL_FLOOR_FRACTION,
-            "combined_wall_hps_min": COMBINED_WALL_GATE_HPS,
             "regression_tolerance": REGRESSION_TOLERANCE,
             "note": (
-                "calibrated = metered ops priced on paper hardware, packed "
-                "greedily onto worker lanes; deterministic on any host. "
-                "wall = this host, unmetered timed loops behind one warm "
-                "pool (startup in pool.pool_startup_s). Absolute wall bars "
-                "fall back to floor-relative form on hosts whose raw "
-                "OpenSSL op costs put them out of reach; the regression "
-                "guard compares floor-normalized efficiency, which "
-                "transfers across hosts."
+                "calibrated = metered ops of the sequential handlers priced "
+                "on paper hardware, packed greedily onto compute lanes; "
+                "deterministic on any host. wall = this host, unmetered "
+                "sequential timed loop. The absolute wall bar falls back to "
+                "floor-relative form on hosts whose raw OpenSSL op costs put "
+                "it out of reach; the regression guard compares "
+                "floor-normalized efficiency, which transfers across hosts."
             ),
         },
         **_measure_all(n),
-        "equivalence": measure_equivalence(),
-        "indistinguishability": measure_indistinguishability(),
     }
     path.write_text(json.dumps(baseline, indent=2) + "\n")
     return baseline
@@ -383,11 +201,6 @@ if __name__ == "__main__":
     )
     args = parser.parse_args()
     if args.smoke:
-        report = {
-            **_measure_all(SMOKE_N),
-            "equivalence": measure_equivalence(),
-            "indistinguishability": measure_indistinguishability(),
-        }
-        print(json.dumps(report, indent=2))
+        print(json.dumps(_measure_all(SMOKE_N), indent=2))
     else:
         print(json.dumps(write_baseline(), indent=2))

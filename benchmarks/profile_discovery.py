@@ -3,7 +3,6 @@
 
 Per the optimize-last discipline: measure before touching anything.
 Run:  python benchmarks/profile_discovery.py [--objects N] [--level L]
-      python benchmarks/profile_discovery.py --batched [--workers W]
 
 Findings on the reference run (20 Level 2 objects, 5 rounds):
 >80 % of wall time sits inside OpenSSL (`ECPublicKey.verify`,
@@ -12,13 +11,6 @@ protocol *requires* — and the verify count is exactly 6 per handshake
 (3 per side), matching §IX-B's op accounting. Python-side overhead
 (serialization, predicate evaluation, transcript handling) is noise, so
 there is nothing worth optimizing above the primitives.
-
-That finding is what motivated the worker pool: the only way to speed
-the hot path up further is to run the OpenSSL calls *somewhere else*.
-``--batched`` profiles the object-side QUE2 burst through
-``handle_que2_batch`` + ``CryptoWorkerPool`` instead of one-at-a-time
-rounds, showing the pool dispatch/pickle overhead next to what is left
-of the inline crypto.
 """
 
 from __future__ import annotations
@@ -28,9 +20,7 @@ import cProfile
 import io
 import pstats
 
-from repro.crypto.workpool import CryptoWorkerPool
 from repro.experiments.common import make_level_fleet
-from repro.experiments.throughput import prepare_object_batch
 from repro.protocol.discovery import run_round
 from repro.protocol.object import ObjectEngine
 from repro.protocol.subject import SubjectEngine
@@ -53,32 +43,6 @@ def profile_discovery(n_objects: int = 20, level: int = 2, rounds: int = 5) -> s
     return stream.getvalue()
 
 
-def profile_batched(n_subjects: int = 64, workers: int = 2) -> str:
-    """Profile one object answering a QUE2 burst through a warm pool.
-
-    The pool is warmed before profiling starts so the trace shows the
-    steady-state dispatch path, not the one-time worker spawn; the
-    spawn cost appears separately as ``pool_startup_s`` in the stats
-    line.
-    """
-    _obj, engine, items = prepare_object_batch(n_subjects)
-    profiler = cProfile.Profile()
-    with CryptoWorkerPool(workers).warm() as pool:
-        profiler.enable()
-        res2s = engine.handle_que2_batch(items, pool)
-        profiler.disable()
-        stats = pool.stats()
-    answered = sum(r is not None for r in res2s)
-
-    stream = io.StringIO()
-    print(f"answered {answered}/{len(items)} QUE2s ({workers} workers)", file=stream)
-    print("pool dispatch: " + ", ".join(f"{k}={v}" for k, v in stats.items()),
-          file=stream)
-    print(file=stream)
-    pstats.Stats(profiler, stream=stream).sort_stats("cumulative").print_stats(20)
-    return stream.getvalue()
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python benchmarks/profile_discovery.py",
@@ -86,33 +50,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--objects", type=int, default=20, metavar="N",
-        help="fleet size: objects per round, or subjects in --batched mode",
+        help="fleet size: objects per round",
     )
     parser.add_argument(
         "--level", type=int, default=2, choices=(1, 2, 3),
-        help="object visibility level (one-at-a-time mode only)",
+        help="object visibility level",
     )
     parser.add_argument(
         "--rounds", type=int, default=5,
-        help="profiled discovery rounds (one-at-a-time mode only)",
-    )
-    parser.add_argument(
-        "--batched", action="store_true",
-        help="profile an object-side QUE2 burst via handle_que2_batch",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=2, metavar="W",
-        help="crypto worker processes in --batched mode (0 = inline)",
+        help="profiled discovery rounds",
     )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.batched:
-        print(profile_batched(args.objects, args.workers))
-    else:
-        print(profile_discovery(args.objects, args.level, args.rounds))
+    print(profile_discovery(args.objects, args.level, args.rounds))
     return 0
 
 

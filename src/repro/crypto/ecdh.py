@@ -12,19 +12,10 @@ The public value (``KEXM_X``) is serialized as the raw X || Y coordinates
 
 from __future__ import annotations
 
-from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric import ec
 
 from repro.crypto import meter
 from repro.crypto.ecdsa import DEFAULT_STRENGTH, _curve_for, _scalar_len
-
-#: Batch-precompute oracle (:mod:`repro.crypto.workpool`): premaster
-#: secrets already derived in the worker pool, keyed by
-#: ``(id(ecdh), peer_kexm)``.  Consulted after metering and the length
-#: check, so a pooled derive is indistinguishable from an inline one in
-#: the §IX-B op accounting; only *successful* derives are staged, so a
-#: malformed KEXM still raises through the inline path.
-_DERIVE_ORACLE: dict[tuple[int, bytes], bytes] | None = None
 
 
 def kexm_length(strength: int = DEFAULT_STRENGTH) -> int:
@@ -72,7 +63,7 @@ class EphemeralECDH:
         """The public key-exchange material, raw X || Y coordinates.
 
         Memoized: the key pair is fixed at construction and the bytes
-        go into transcripts, signatures, and batch-op tables — several
+        go into transcripts and signatures — several
         reads per handshake, one point conversion.
         """
         cached = self.__dict__.get("_kexm")
@@ -81,24 +72,6 @@ class EphemeralECDH:
             n = _scalar_len(self._curve)
             cached = numbers.x.to_bytes(n, "big") + numbers.y.to_bytes(n, "big")
             self._kexm = cached
-        return cached
-
-    def private_der(self) -> bytes:
-        """Serialize the private key (PKCS8 DER, unencrypted).
-
-        The worker-pool transport format: a derive dispatched to another
-        process ships the key as bytes because the underlying OpenSSL
-        handle does not pickle.  Never leaves the host.  Memoized — the
-        batch decomposition re-reads it every precompute pass.
-        """
-        cached = self.__dict__.get("_private_der")
-        if cached is None:
-            cached = self._private.private_bytes(
-                serialization.Encoding.DER,
-                serialization.PrivateFormat.PKCS8,
-                serialization.NoEncryption(),
-            )
-            self._private_der = cached
         return cached
 
     def derive_premaster(self, peer_kexm: bytes) -> bytes:
@@ -115,10 +88,6 @@ class EphemeralECDH:
                 f"KEXM must be {2 * n} bytes at strength {self.strength}, "
                 f"got {len(peer_kexm)}"
             )
-        if _DERIVE_ORACLE is not None:
-            staged = _DERIVE_ORACLE.get((id(self), peer_kexm))
-            if staged is not None:
-                return staged
         # Re-attach the SEC1 uncompressed-point prefix stripped at send time.
         point = b"\x04" + peer_kexm
         try:

@@ -30,8 +30,8 @@ from cryptography.hazmat.primitives.asymmetric.utils import (
 from repro.crypto import meter
 
 #: Paper security strength (bits) -> NIST curve.  Read-only: the table
-#: is consulted from crypto-pool workers, so it must stay immutable
-#: across fork (POOL-SAFETY).
+#: is consulted from forked experiment-runner workers, so it must stay
+#: immutable across fork (POOL-SAFETY).
 STRENGTH_TO_CURVE: Mapping[int, ec.EllipticCurve] = MappingProxyType({
     112: ec.SECP224R1(),
     128: ec.SECP256R1(),
@@ -41,15 +41,6 @@ STRENGTH_TO_CURVE: Mapping[int, ec.EllipticCurve] = MappingProxyType({
 
 #: The strength the paper uses for everything but Fig. 6(a).
 DEFAULT_STRENGTH = 128
-
-#: Batch-precompute oracles (:mod:`repro.crypto.workpool`). When a batch
-#: entry point has already executed an operation in the worker pool, the
-#: result is staged here and the normal method consults it *after*
-#: metering — so a pooled op records exactly what an inline op records,
-#: and a miss silently falls through to the inline computation (the
-#: oracle is a pure accelerator, never a correctness dependency).
-_VERIFY_ORACLE: dict[tuple[bytes, bytes, bytes], bool] | None = None
-_SIGN_ORACLE: dict[tuple[int, bytes], bytes] | None = None
 
 
 def _scalar_len(curve: ec.EllipticCurve) -> int:
@@ -88,10 +79,6 @@ class VerifyingKey:
         n = _scalar_len(self._key.curve)
         if len(signature) != 2 * n:
             return False
-        if _VERIFY_ORACLE is not None:
-            staged = _VERIFY_ORACLE.get((self.to_bytes(), signature, message))
-            if staged is not None:
-                return staged
         r = int.from_bytes(signature[:n], "big")
         s = int.from_bytes(signature[n:], "big")
         try:
@@ -139,10 +126,6 @@ class SigningKey:
     def sign(self, message: bytes) -> bytes:
         """Sign *message*, returning a fixed-width raw (r || s) signature."""
         meter.record("ecdsa_sign", self.strength)
-        if _SIGN_ORACLE is not None:
-            staged = _SIGN_ORACLE.get((id(self), message))
-            if staged is not None:
-                return staged
         der = self._key.sign(message, ec.ECDSA(hashes.SHA256()))
         r, s = decode_dss_signature(der)
         n = _scalar_len(self._key.curve)

@@ -141,47 +141,6 @@ def global_meter() -> "OpMeter | None":
 
 
 @contextmanager
-def paused() -> Iterator[OpMeter]:
-    """Route records into a scratch meter that is *discarded* on exit.
-
-    Unlike :func:`metered`, nothing folds into the outer meter or the
-    global meter — the block's operations vanish from every tally.  The
-    batch precompute pass (:mod:`repro.crypto.workpool`) uses this to
-    pre-draw pool keys and decompose work *without* charging the §IX-B
-    accounting twice: the scratch meter is yielded so the caller can
-    replay the captured records later, at the point where the sequential
-    path would have performed the operations.
-    """
-    global _depth
-    scratch = OpMeter()
-    with _state_lock:
-        _depth += 1
-        _sync_enabled()
-    token = _active.set(scratch)
-    try:
-        yield scratch
-    finally:
-        _active.reset(token)
-        with _state_lock:
-            _depth -= 1
-            _sync_enabled()
-
-
-def replay(records: OpMeter) -> None:
-    """Re-record every count in *records* against the active meter.
-
-    The consumption-time half of the :func:`paused` protocol: work done
-    early under a paused meter is charged here, where the sequential
-    path would have done it, keeping batched and sequential op totals
-    identical.
-    """
-    if not _enabled or not records.counts:
-        return
-    for (op, strength), n in records.counts.items():
-        record(op, strength, n)
-
-
-@contextmanager
 def metered() -> Iterator[OpMeter]:
     """Activate a fresh meter for the duration of the block.
 

@@ -85,7 +85,7 @@ ALL = MappingProxyType({
     "fault_recovery": lambda: fault_recovery.run().render(),
     # §VII executed end to end as one scorecard
     "security_report": lambda: security_report.run().render(),
-    # extension: aggregate handshakes/sec, sequential vs batched worker pool
+    # extension: aggregate handshakes/sec, calibrated lanes over the sequential path
     "throughput": lambda: throughput.run(smoke=True).render(),
 })
 

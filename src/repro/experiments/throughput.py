@@ -1,59 +1,41 @@
-"""Throughput-scale discovery: batched engines + the crypto worker pool.
+"""Throughput-scale discovery: calibrated lane packing of the sequential path.
 
 The paper's §IX measures single-handshake latency; the deployment the
 ROADMAP targets is one enterprise object (a printer, a door controller)
 answering *hundreds of concurrent QUE2s per round*.  This experiment
-measures aggregate handshake throughput at that scale, sequential vs
-batched (:mod:`repro.crypto.workpool`), two ways:
+measures aggregate handshake throughput at that scale, two ways:
 
-* **wall-clock** — real seconds on *this* host.  Honest but
-  host-shaped: on a single-CPU container the process pool cannot beat
-  inline execution, and the numbers say so.
+* **wall-clock** — real seconds on *this* host for the sequential
+  ``handle_*`` handlers, in an unmetered timed loop.
 * **calibrated** — the per-handshake §IX-B op tally priced on the
-  paper's hardware (Raspberry Pi 3 object / Nexus 6 subject), with the
-  batch packed greedily onto the device's compute lanes.  The Pi 3 is a
-  genuine quad-core part, so "4 workers" is its real silicon, and the
-  calibrated speedup is deterministic — the same on every CI host.
+  paper's hardware (Raspberry Pi 3 object / Nexus 6 subject), packed
+  greedily onto the device's compute lanes.  The Pi 3 is a genuine
+  quad-core part, so "4 lanes" is its real silicon, and the calibrated
+  speedup is deterministic — the same on every CI host.
 
-Measurement discipline (the PR-6 harness rework):
+Measurement discipline:
 
-* The wall pass is **unmetered** — nothing but the handlers (and, for
-  batched rows, the pool pass) sits inside the timed region.  The old
-  harness wrapped every handshake in ``metered()`` and priced it inside
-  the timing loop, taxing the scalar path it was measuring.
-* The calibrated costs come from **one** separate metered pass.  The
-  batched path's per-item meters are identical to the sequential path's
-  by construction (the batch-equivalence property), so one cost vector
-  serves every configuration; only the lane count changes.
-* All batched rows share **one warm pool** (workers spawn once, timed
-  into ``pool.startup_s``, reported separately); per-row lane counts
-  come from :attr:`CryptoWorkerPool.dispatch_workers`, which pins the
-  chunk fan-out so a 4-worker pool runs a ``batched x1`` row on one
-  busy worker.
-* :func:`measure_crypto_floor` times the raw OpenSSL per-op costs on
-  this host and derives the hard physical ceiling for the sequential
-  path (3 verifies + 1 ECDH derive per object-side handshake) —
-  the benchmarks gate the scalar path *relative to that floor*, so the
-  gate means the same thing on a laptop and a throttled CI container.
-
-The batched path is bit-equivalent to the sequential one (RES2 bytes and
-meter counts; enforced by tests/protocol/test_batch_equivalence.py), so
-throughput is the only thing that moves.
+* The wall pass is **unmetered** — nothing but the handlers sits inside
+  the timed region.
+* The calibrated costs come from **one** separate metered pass over the
+  same handshakes; only the lane count changes between rows.
+* :func:`measure_crypto_floor` times the public ``VerifyingKey.verify``
+  and ``EphemeralECDH.derive_premaster`` on this host and derives the
+  hard physical ceiling for the sequential path (3 verifies + 1 ECDH
+  derive per object-side handshake) — the benchmarks gate the scalar
+  path *relative to that floor*, so the gate means the same thing on a
+  laptop and a throttled CI container.
 
 Sections:
 
-* A — *object-side*: ``n`` subjects hit one Level 3 object with QUE2s;
-  the object drains them via ``handle_que2_batch``.
-* B — *subject-side*: one subject processes ``n`` RES1 openings via
-  ``handle_res1_batch``.
-* C — *over the air*: the ground network's QUE2 batch drain
-  (``batch_window_s``) on a small concurrent round, 1 core vs 4.
+* A — *object-side*: ``n`` subjects hit one Level 3 object with QUE2s.
+* B — *subject-side*: one subject processes ``n`` RES1 openings.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.backend.registration import (
     Backend,
@@ -65,7 +47,6 @@ from repro.crypto.costmodel import NEXUS6, RASPBERRY_PI3, DeviceProfile
 from repro.crypto.ecdh import EphemeralECDH
 from repro.crypto.ecdsa import generate_signing_key
 from repro.crypto.meter import metered
-from repro.crypto.workpool import CryptoWorkerPool, execute_op
 from repro.experiments.common import Table
 from repro.pki import certificate as certificate_mod
 from repro.pki import profile as profile_mod
@@ -73,11 +54,11 @@ from repro.protocol.object import ObjectEngine, _ObjectSession
 from repro.protocol.session import Transcript
 from repro.protocol.subject import SubjectEngine
 
-#: Pool sizes Section A/B sweep; None is the sequential (no-batch) path.
-WORKER_SWEEP: tuple[int | None, ...] = (None, 1, 2, 4)
+#: Compute-lane counts the calibrated packing sweeps (1 = sequential).
+LANE_SWEEP: tuple[int, ...] = (1, 2, 4)
 
-#: The headline acceptance gate: calibrated handshakes/sec at 4 workers
-#: over sequential must reach this on the 1000-object scale experiment.
+#: The headline acceptance gate: calibrated handshakes/sec at 4 lanes
+#: over one lane must reach this on the 1000-handshake scale experiment.
 CALIBRATED_GATE_AT_4 = 2.5
 
 #: Absolute sequential object-side wall target (handshakes/s) — and the
@@ -88,79 +69,58 @@ CALIBRATED_GATE_AT_4 = 2.5
 SEQUENTIAL_WALL_GATE_HPS = 2500.0
 SEQUENTIAL_FLOOR_FRACTION = 0.55
 
-#: Combined sequential+batched object-side wall target at n=1000
-#: (ROADMAP item 3); floor-relative on hosts below the absolute bar.
-COMBINED_WALL_GATE_HPS = 5000.0
-
 
 @dataclass
-class ConfigResult:
-    """One (mode, workers) measurement over the same batch of handshakes."""
+class ScaleResult:
+    """One side's scale batch: sequential wall time and calibrated costs."""
 
-    label: str
-    workers: int | None
     n: int
-    completed: int
+    #: Sequential wall seconds for the whole batch on this host.
     wall_s: float
-    calibrated_s: float
+    #: Per-handshake paper-hardware seconds, one entry per item.
+    costs_s: list[float]
 
     @property
     def wall_hps(self) -> float:
         return self.n / self.wall_s if self.wall_s > 0 else 0.0
 
-    @property
-    def calibrated_hps(self) -> float:
-        return self.n / self.calibrated_s if self.calibrated_s > 0 else 0.0
+    def calibrated_s(self, lanes: int) -> float:
+        return greedy_makespan(self.costs_s, lanes)
+
+    def calibrated_hps(self, lanes: int) -> float:
+        makespan = self.calibrated_s(lanes)
+        return self.n / makespan if makespan > 0 else 0.0
+
+    def calibrated_speedup(self, lanes: int) -> float:
+        return self.calibrated_hps(lanes) / self.calibrated_hps(1)
 
 
 @dataclass
 class ThroughputReport:
     n: int
-    object_side: list[ConfigResult] = field(default_factory=list)
-    subject_side: list[ConfigResult] = field(default_factory=list)
-    #: cores -> simulated makespan (s) of the over-the-air drain section.
-    drain_makespan: dict[int, float] = field(default_factory=dict)
-    #: Worker-pool dispatch counters from the object-side sweep.
-    pool_stats: dict = field(default_factory=dict)
-
-    def speedup(self, results: list[ConfigResult], workers: int,
-                calibrated: bool = True) -> float:
-        base = results[0]
-        at = next(r for r in results if r.workers == workers)
-        if calibrated:
-            return at.calibrated_hps / base.calibrated_hps
-        return at.wall_hps / base.wall_hps
+    object_side: ScaleResult
+    subject_side: ScaleResult
 
     def render(self) -> str:
         sections = []
-        for title, results in (
+        for title, result in (
             (f"Throughput A: object answering {self.n} QUE2s", self.object_side),
             (f"Throughput B: subject processing {self.n} RES1s", self.subject_side),
         ):
             table = Table(
-                title,
-                ["config", "wall hs/s", "calibrated hs/s", "calibrated speedup"],
+                title, ["lanes", "calibrated hs/s", "calibrated speedup"]
             )
-            for result in results:
+            for lanes in LANE_SWEEP:
                 table.add(
-                    result.label,
-                    result.wall_hps,
-                    result.calibrated_hps,
-                    result.calibrated_hps / results[0].calibrated_hps,
+                    lanes,
+                    result.calibrated_hps(lanes),
+                    result.calibrated_speedup(lanes),
                 )
             table.notes = (
-                "calibrated = paper-hardware op costs packed onto the worker "
-                "lanes (deterministic); wall = this host, unmetered timed "
-                "loop, warm pool (startup reported separately)."
+                "calibrated = paper-hardware op costs of the sequential "
+                "handlers packed onto compute lanes (deterministic); "
+                f"sequential wall on this host: {result.wall_hps:.1f} hs/s."
             )
-            sections.append(table.render())
-        if self.drain_makespan:
-            table = Table(
-                "Throughput C: over-the-air QUE2 batch drain",
-                ["object cores", "simulated makespan (s)"],
-            )
-            for cores, makespan in sorted(self.drain_makespan.items()):
-                table.add(cores, makespan)
             sections.append(table.render())
         return "\n\n".join(sections)
 
@@ -169,9 +129,8 @@ def greedy_makespan(costs_s: list[float], lanes: int) -> float:
     """Pack sequential per-item costs onto *lanes* parallel lanes.
 
     The calibrated multi-core model: each handshake is indivisible, the
-    scheduler always feeds the least-loaded lane (what the drain in
-    :meth:`repro.net.node.GroundNetwork._drain_que2s` does), and the
-    batch finishes when the last lane does.
+    scheduler always feeds the least-loaded lane, and the batch finishes
+    when the last lane does.
     """
     if lanes < 1:
         raise ValueError(f"lanes must be >= 1, got {lanes}")
@@ -195,24 +154,29 @@ def measure_crypto_floor(strength: int = 128, reps: int = 64) -> dict:
     signing = generate_signing_key(strength)
     message = b"floor probe"
     signature = signing.sign(message)
-    verify_op = ("verify", signing.public_key.to_bytes(), strength,
-                 signature, message)
+    public = signing.public_key
     mine, peer = EphemeralECDH(strength), EphemeralECDH(strength)
-    derive_op = ("derive", mine.private_der(), strength, peer.kexm)
-    for op in (verify_op, derive_op):  # warm-up: first call pays loads
-        execute_op(op)
+
+    def verify() -> None:
+        public.verify(signature, message)
+
+    def derive() -> None:
+        mine.derive_premaster(peer.kexm)
+
+    for op in (verify, derive):  # warm-up: first call pays loads
+        op()
 
     def best_us(op) -> float:
         best = float("inf")
         for _ in range(3):
             t0 = time.perf_counter()
             for _ in range(reps):
-                execute_op(op)
+                op()
             best = min(best, (time.perf_counter() - t0) / reps)
         return best * 1e6
 
-    verify_us = best_us(verify_op)
-    derive_us = best_us(derive_op)
+    verify_us = best_us(verify)
+    derive_us = best_us(derive)
     floor_us = 3 * verify_us + derive_us
     return {
         "verify_us": round(verify_us, 2),
@@ -227,9 +191,8 @@ def make_wide_fleet(
 ) -> tuple[list[SubjectCredentials], ObjectCredentials, Backend]:
     """One Level 3 object and *n_subjects* subjects, half of them fellows.
 
-    The mixed membership matters: the batch must stay indistinguishable
-    (and correct) across covert Level 3 serves and Level 2 cover-up
-    serves in the same drain.
+    The mixed membership matters: the scale batch exercises covert
+    Level 3 serves and Level 2 cover-up serves side by side.
     """
     backend = Backend(strength=strength)
     backend.add_sensitive_policy("sensitive:special", "sensitive:serves-special")
@@ -277,7 +240,7 @@ def _reset_hot_caches() -> None:
     certificate_mod.clear_parse_cache()
 
 
-def prepare_object_batch(n: int):
+def prepare_object_side(n: int):
     """Phase 1 for Section A: *n* subjects each ready to send QUE2.
 
     Returns ``(object_creds, reference_engine, items)`` where *items*
@@ -300,13 +263,7 @@ def prepare_object_batch(n: int):
 def _calibrated_costs(
     engine, items, handler, profile: DeviceProfile, what: str
 ) -> list[float]:
-    """One metered pass: per-item §IX-B costs priced on *profile*.
-
-    Valid for every configuration at once — batched pass-2 handlers
-    meter identically to sequential ones (oracle hits still record the
-    logical op), so the cost vector is configuration-independent and
-    only the lane packing differs per row.
-    """
+    """One metered pass: per-item §IX-B costs priced on *profile*."""
     per_message_s = profile.per_message_ms / 1000.0
     costs_s: list[float] = []
     completed = 0
@@ -323,19 +280,26 @@ def _calibrated_costs(
     return costs_s
 
 
-def measure_object_scale(
-    n: int = 1000,
-    workers_sweep: tuple[int | None, ...] = WORKER_SWEEP,
-    profile: DeviceProfile = RASPBERRY_PI3,
-    pool: CryptoWorkerPool | None = None,
-) -> list[ConfigResult]:
-    """Section A: one object answers *n* QUE2s, sequential vs batched.
+def _wall_pass(engine, items, handler, what: str) -> float:
+    """Unmetered timed loop over *items*; every one must complete."""
+    completed = 0
+    t0 = time.perf_counter()
+    for message, peer_id in items:
+        completed += handler(message, peer_id) is not None
+    wall_s = time.perf_counter() - t0
+    if completed != len(items):
+        raise RuntimeError(
+            f"sequential {what} pass: only {completed}/{len(items)} "
+            f"completed; errors={engine.errors[:3]}"
+        )
+    return wall_s
 
-    All batched rows share one warm *pool* (created here if not given),
-    lane-limited per row via ``dispatch_workers`` — worker startup never
-    lands inside a timed region.
-    """
-    obj, reference, items = prepare_object_batch(n)
+
+def measure_object_scale(
+    n: int = 1000, profile: DeviceProfile = RASPBERRY_PI3
+) -> ScaleResult:
+    """Section A: one object answers *n* QUE2s."""
+    obj, reference, items = prepare_object_side(n)
 
     calibrated_engine = _clone_object_engine(obj, reference)
     _reset_hot_caches()
@@ -343,60 +307,13 @@ def measure_object_scale(
         calibrated_engine, items, calibrated_engine.handle_que2, profile,
         "object",
     )
-
-    pool_workers = max((w for w in workers_sweep if w), default=0)
-    own_pool = pool is None
-    if own_pool:
-        pool = CryptoWorkerPool(pool_workers).warm()
-    results = []
-    try:
-        for workers in workers_sweep:
-            engine = _clone_object_engine(obj, reference)
-            _reset_hot_caches()
-            completed = 0
-
-            def wall_pass() -> None:
-                nonlocal completed
-                handler = engine.handle_que2
-                for que2, peer_id in items:
-                    completed += handler(que2, peer_id) is not None
-
-            if workers is None:
-                t0 = time.perf_counter()
-                wall_pass()
-                wall_s = time.perf_counter() - t0
-            else:
-                pool.dispatch_workers = workers
-                try:
-                    t0 = time.perf_counter()
-                    with engine.precompute_que2_batch(items, pool):
-                        wall_pass()
-                    wall_s = time.perf_counter() - t0
-                finally:
-                    pool.dispatch_workers = None
-            lanes = 1 if workers is None else max(1, workers)
-            results.append(
-                ConfigResult(
-                    label="sequential" if workers is None else f"batched x{workers}",
-                    workers=workers,
-                    n=n,
-                    completed=completed,
-                    wall_s=wall_s,
-                    calibrated_s=greedy_makespan(costs_s, lanes),
-                )
-            )
-            if completed != n:
-                raise RuntimeError(
-                    f"{results[-1].label}: only {completed}/{n} handshakes "
-                    f"completed; errors={engine.errors[:3]}"
-                )
-    finally:
-        if own_pool:
-            pool.close()
-    return results
+    engine = _clone_object_engine(obj, reference)
+    _reset_hot_caches()
+    wall_s = _wall_pass(engine, items, engine.handle_que2, "object")
+    return ScaleResult(n=n, wall_s=wall_s, costs_s=costs_s)
 
 
-def prepare_subject_batch(n: int):
+def prepare_subject_side(n: int):
     """Phase 1 for Section B: one subject facing *n* RES1 openings."""
     backend = Backend(strength=128)
     backend.add_sensitive_policy("sensitive:special", "sensitive:serves-special")
@@ -434,24 +351,16 @@ def _clone_subject_engine(subject_creds, opener) -> SubjectEngine:
 
 
 def measure_subject_scale(
-    n: int = 1000,
-    workers_sweep: tuple[int | None, ...] = WORKER_SWEEP,
-    profile: DeviceProfile = NEXUS6,
-    pool: CryptoWorkerPool | None = None,
-) -> list[ConfigResult]:
-    """Section B: one subject processes *n* RES1s, sequential vs batched.
+    n: int = 1000, profile: DeviceProfile = NEXUS6
+) -> ScaleResult:
+    """Section B: one subject processes *n* RES1s.
 
-    The key pool is disabled for the measurement so every configuration
-    performs identical work (pool stock would otherwise vary run to run
-    with refill-thread timing).
+    The key pool is disabled for the measurement so both passes perform
+    identical work (pool stock would otherwise vary run to run with
+    refill-thread timing).
     """
-    subject_creds, opener, items = prepare_subject_batch(n)
-    results = []
+    subject_creds, opener, items = prepare_subject_side(n)
     keypool.configure(enabled=False)
-    pool_workers = max((w for w in workers_sweep if w), default=0)
-    own_pool = pool is None
-    if own_pool:
-        pool = CryptoWorkerPool(pool_workers).warm()
     try:
         calibrated_engine = _clone_subject_engine(subject_creds, opener)
         _reset_hot_caches()
@@ -459,98 +368,22 @@ def measure_subject_scale(
             calibrated_engine, items, calibrated_engine.handle_res1, profile,
             "subject",
         )
-        for workers in workers_sweep:
-            engine = _clone_subject_engine(subject_creds, opener)
-            _reset_hot_caches()
-            completed = 0
-
-            def wall_pass() -> None:
-                nonlocal completed
-                handler = engine.handle_res1
-                for res1, peer_id in items:
-                    completed += handler(res1, peer_id) is not None
-
-            if workers is None:
-                t0 = time.perf_counter()
-                wall_pass()
-                wall_s = time.perf_counter() - t0
-            else:
-                pool.dispatch_workers = workers
-                try:
-                    t0 = time.perf_counter()
-                    with engine.precompute_res1_batch(items, pool):
-                        wall_pass()
-                    wall_s = time.perf_counter() - t0
-                finally:
-                    pool.dispatch_workers = None
-            lanes = 1 if workers is None else max(1, workers)
-            results.append(
-                ConfigResult(
-                    label="sequential" if workers is None else f"batched x{workers}",
-                    workers=workers,
-                    n=n,
-                    completed=completed,
-                    wall_s=wall_s,
-                    calibrated_s=greedy_makespan(costs_s, lanes),
-                )
-            )
-            if completed != n:
-                raise RuntimeError(
-                    f"{results[-1].label}: only {completed}/{n} RES1s "
-                    f"processed; errors={engine.errors[:3]}"
-                )
+        engine = _clone_subject_engine(subject_creds, opener)
+        _reset_hot_caches()
+        wall_s = _wall_pass(engine, items, engine.handle_res1, "subject")
     finally:
-        if own_pool:
-            pool.close()
         keypool.configure(enabled=True)
-    return results
-
-
-def measure_drain_makespan(
-    n_subjects: int = 24, cores_sweep: tuple[int, ...] = (1, 4)
-) -> dict[int, float]:
-    """Section C: the ground network's QUE2 batch drain, 1 core vs 4."""
-    from repro.net.concurrent import simulate_concurrent_discovery
-
-    out: dict[int, float] = {}
-    for cores in cores_sweep:
-        backend = Backend(strength=128)
-        obj = backend.register_object(
-            "obj-0", {"type": "printer"}, level=2,
-            functions=("print",),
-            variants=[("position=='staff'", ("print",))],
-        )
-        subjects = [
-            backend.register_subject(f"subj-{i:03d}", {"position": "staff"}, ())
-            for i in range(n_subjects)
-        ]
-        timeline = simulate_concurrent_discovery(
-            subjects, [obj],
-            object_cores=cores,
-            batch_window_s=0.05,
-            object_session_limit=n_subjects + 16,
-            deadline_s=600.0,
-        )
-        if len(timeline.subject_completion) != n_subjects:
-            raise RuntimeError(
-                f"cores={cores}: only {len(timeline.subject_completion)}"
-                f"/{n_subjects} subjects completed"
-            )
-        out[cores] = timeline.makespan
-    return out
+    return ScaleResult(n=n, wall_s=wall_s, costs_s=costs_s)
 
 
 def run(n: int = 1000, smoke: bool = False) -> ThroughputReport:
     if smoke:
         n = min(n, 64)
-    report = ThroughputReport(n=n)
-    pool_workers = max((w for w in WORKER_SWEEP if w), default=0)
-    with CryptoWorkerPool(pool_workers).warm() as pool:
-        report.object_side = measure_object_scale(n, pool=pool)
-        report.subject_side = measure_subject_scale(n, pool=pool)
-        report.pool_stats = pool.stats()
-    report.drain_makespan = measure_drain_makespan(8 if smoke else 24)
-    return report
+    return ThroughputReport(
+        n=n,
+        object_side=measure_object_scale(n),
+        subject_side=measure_subject_scale(n),
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation

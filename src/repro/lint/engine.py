@@ -8,10 +8,7 @@ CI and ``tests/lint/test_clean_tree.py`` enforce.
 
 The run has two passes.  Module rules see one file at a time; program
 rules (:class:`~repro.lint.base.ProgramRule`) run once over the whole
-checked tree, against per-module facts.  With ``--cache FILE`` both
-passes are incremental: unchanged files replay their cached findings
-and facts without being re-read, and an unchanged tree replays the
-whole program verdict (see :mod:`repro.lint.cache`).
+checked tree, against per-module facts.
 """
 
 from __future__ import annotations
@@ -22,17 +19,12 @@ import sys
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.lint.base import ModuleContext, ProgramRule, Rule, _SUPPRESS_RE
+from repro.lint.base import ModuleContext, ProgramRule, Rule
 from repro.lint.baseline import DEFAULT_BASELINE, Baseline, BaselineError
-from repro.lint.cache import LintCache, file_sha256, ruleset_signature
-from repro.lint.facts import extract_module_facts
 from repro.lint.findings import Finding
 from repro.lint.program import Program
 from repro.lint.report import RENDERERS, LintResult
 from repro.lint.rules import ALL_RULES
-
-#: Default cache location used by ``--cache`` without an argument.
-DEFAULT_CACHE = ".argus-lint-cache.json"
 
 #: Directories never descended into.
 _SKIP_DIRS = {"__pycache__", ".git", ".venv", "node_modules"}
@@ -66,27 +58,6 @@ def _sorted(findings: list[Finding]) -> list[Finding]:
     return sorted(findings, key=lambda f: f.sort_key)
 
 
-def _suppress_map(context: ModuleContext) -> dict[int, list[str]]:
-    """All per-line suppressions in a module, for cache replay."""
-    out: dict[int, list[str]] = {}
-    for lineno, text in enumerate(context.lines, start=1):
-        match = _SUPPRESS_RE.search(text)
-        if match is not None:
-            out[lineno] = sorted(
-                part.strip().upper() for part in match.group(1).split(",")
-            )
-    return out
-
-
-def _suppressed_by_map(
-    finding: Finding, maps: dict[str, dict[str, list[str]]]
-) -> bool:
-    rules = maps.get(finding.path, {}).get(str(finding.line))
-    return rules is not None and (
-        "ALL" in rules or finding.rule_id.upper() in rules
-    )
-
-
 def lint_source(
     source: str,
     path: str = "<string>",
@@ -115,158 +86,79 @@ def lint_sources(
     behavior: module rules run per file, program rules run once over a
     :class:`~repro.lint.program.Program` built from every module.
     """
-    module_rules, program_rules = _split_rules(_instantiate(rules))
     contexts = [
         ModuleContext.build(path, source) for path, source in sorted(sources.items())
     ]
+    findings, _ = _check(contexts, rules, apply_suppressions)
+    return findings
+
+
+def _check(
+    contexts: list[ModuleContext],
+    rules: Sequence[type[Rule]] | None,
+    apply_suppressions: bool = True,
+) -> tuple[list[Finding], int]:
+    """Both passes over parsed modules; returns ``(findings, suppressed)``."""
+    module_rules, program_rules = _split_rules(_instantiate(rules))
     by_path = {context.path: context for context in contexts}
     findings: list[Finding] = []
+    suppressed = 0
 
-    def keep(context: ModuleContext, finding: Finding) -> None:
-        if apply_suppressions and context.is_suppressed(finding):
-            return
-        findings.append(finding)
+    def keep(context: ModuleContext | None, finding: Finding) -> None:
+        nonlocal suppressed
+        if (
+            apply_suppressions
+            and context is not None
+            and context.is_suppressed(finding)
+        ):
+            suppressed += 1
+        else:
+            findings.append(finding)
 
     for context in contexts:
         for rule in module_rules:
             for finding in rule.check(context):
                 keep(context, finding)
-    if program_rules:
+    if program_rules and contexts:
         program = Program.from_contexts(contexts)
         for rule in program_rules:
             for finding in rule.check_program(program):
-                context = by_path.get(finding.path)
-                if context is None:
-                    findings.append(finding)
-                else:
-                    keep(context, finding)
-    return _sorted(findings)
+                keep(by_path.get(finding.path), finding)
+    return _sorted(findings), suppressed
 
 
 def lint_paths(
     paths: Iterable[str | Path],
     rules: Sequence[type[Rule]] | None = None,
     relative_to: str | Path | None = None,
-    cache_path: str | Path | None = None,
 ) -> tuple[list[Finding], int, int]:
     """Lint every file under *paths*.
 
     Returns ``(findings, suppressed_count, checked_files)``.  Finding
     paths are made relative to *relative_to* (default: the current
     directory) when possible, so baselines stay machine-independent.
-    With *cache_path*, unchanged files replay their cached module
-    findings and facts.
     """
-    findings, suppressed, checked, _ = _lint_paths(
-        paths, rules, relative_to, cache_path
-    )
-    return findings, suppressed, checked
-
-
-def _lint_paths(
-    paths: Iterable[str | Path],
-    rules: Sequence[type[Rule]] | None = None,
-    relative_to: str | Path | None = None,
-    cache_path: str | Path | None = None,
-) -> tuple[list[Finding], int, int, LintCache | None]:
     root = Path(relative_to) if relative_to is not None else Path.cwd()
-    module_rules, program_rules = _split_rules(_instantiate(rules))
-    cache = (
-        LintCache(cache_path, ruleset_signature([r.RULE_ID for r in ALL_RULES]))
-        if cache_path is not None
-        else None
-    )
-    findings: list[Finding] = []
-    suppressed = 0
-    facts_list: list[dict] = []
-    suppress_maps: dict[str, dict[str, list[str]]] = {}
-    file_hashes: list[tuple[str, str]] = []
+    errors: list[Finding] = []
+    contexts: list[ModuleContext] = []
     files = collect_files(paths)
     for file in files:
         try:
             display = str(file.resolve().relative_to(root.resolve()))
         except ValueError:
             display = str(file)
-
-        if cache is not None:
-            entry = cache.lookup(file, display)
-            if entry is not None:
-                findings.extend(cache.entry_findings(entry))
-                suppressed += entry["suppressed"]
-                if entry["facts"] is not None:
-                    facts_list.append(entry["facts"])
-                suppress_maps[display] = entry["suppress_lines"]
-                file_hashes.append((display, entry["sha256"]))
-                continue
-
         try:
-            data = file.read_bytes()
-            source = data.decode()
-            context = ModuleContext.build(display, source)
+            contexts.append(ModuleContext.build(display, file.read_bytes().decode()))
         except (OSError, SyntaxError, ValueError) as exc:
-            error = Finding(
+            errors.append(Finding(
                 path=display,
                 line=1,
                 col=1,
                 rule_id="PARSE-ERROR",
                 message=f"cannot lint file: {exc}",
-            )
-            findings.append(error)
-            if cache is not None and not isinstance(exc, OSError):
-                sha = file_sha256(data)
-                cache.store(
-                    file, display, sha, [error], 0, {}, None, error=str(exc)
-                )
-                file_hashes.append((display, sha))
-            continue
-
-        sha = file_sha256(data)
-        module_findings: list[Finding] = []
-        file_suppressed = 0
-        for rule in module_rules:
-            for finding in rule.check(context):
-                if context.is_suppressed(finding):
-                    file_suppressed += 1
-                else:
-                    module_findings.append(finding)
-        facts = extract_module_facts(display, source, context.tree, context.module)
-        smap = {str(k): v for k, v in _suppress_map(context).items()}
-        findings.extend(module_findings)
-        suppressed += file_suppressed
-        facts_list.append(facts)
-        suppress_maps[display] = smap
-        file_hashes.append((display, sha))
-        if cache is not None:
-            cache.store(
-                file, display, sha, module_findings, file_suppressed, smap, facts
-            )
-
-    if program_rules and facts_list:
-        program_findings: list[Finding] = []
-        program_suppressed = 0
-        key = LintCache.program_key(
-            ruleset_signature([r.RULE_ID for r in program_rules]), file_hashes
-        )
-        entry = cache.lookup_program(key) if cache is not None else None
-        if entry is not None:
-            program_findings = LintCache.entry_findings(entry)
-            program_suppressed = entry["suppressed"]
-        else:
-            program = Program.from_facts(facts_list)
-            for rule in program_rules:
-                for finding in rule.check_program(program):
-                    if _suppressed_by_map(finding, suppress_maps):
-                        program_suppressed += 1
-                    else:
-                        program_findings.append(finding)
-            if cache is not None:
-                cache.store_program(key, program_findings, program_suppressed)
-        findings.extend(program_findings)
-        suppressed += program_suppressed
-
-    if cache is not None:
-        cache.save()
-    return _sorted(findings), suppressed, len(files), cache
+            ))
+    findings, suppressed = _check(contexts, rules)
+    return _sorted(errors + findings), suppressed, len(files)
 
 
 def changed_files(root: str | Path | None = None) -> set[str] | None:
@@ -305,13 +197,10 @@ def run(
     baseline_path: str | Path | None = DEFAULT_BASELINE,
     rules: Sequence[type[Rule]] | None = None,
     relative_to: str | Path | None = None,
-    cache_path: str | Path | None = None,
     changed_only: bool = False,
 ) -> LintResult:
     """Full pipeline: lint, subtract the baseline, package the result."""
-    findings, suppressed, checked, cache = _lint_paths(
-        paths, rules, relative_to, cache_path
-    )
+    findings, suppressed, checked = lint_paths(paths, rules, relative_to)
     if changed_only:
         changed = changed_files(relative_to)
         if changed is not None:
@@ -323,8 +212,6 @@ def run(
         baselined=_sorted(baselined),
         suppressed=suppressed,
         checked_files=checked,
-        cache_hits=cache.hits if cache is not None else 0,
-        cache_misses=cache.misses if cache is not None else 0,
     )
 
 
@@ -364,13 +251,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         help="alias for --update-baseline (kept for compatibility)",
     )
     parser.add_argument(
-        "--cache", nargs="?", const=DEFAULT_CACHE, default=None, metavar="FILE",
-        help=(
-            "enable the per-file incremental cache "
-            f"(default file when enabled: {DEFAULT_CACHE})"
-        ),
-    )
-    parser.add_argument(
         "--changed-only", action="store_true",
         help=(
             "report findings only in files git sees as modified or "
@@ -383,7 +263,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _update_baseline(args: argparse.Namespace, out) -> int:
-    findings, _, _ = lint_paths(args.paths, cache_path=args.cache)
+    findings, _, _ = lint_paths(args.paths)
     previous = Baseline.load(args.baseline)
     for rule, path, message in previous.stale_fingerprints(findings):
         print(
@@ -416,7 +296,6 @@ def run_lint(args: argparse.Namespace, out=None) -> int:
         result = run(
             args.paths,
             baseline_path,
-            cache_path=args.cache,
             changed_only=args.changed_only,
         )
     except BaselineError as exc:

@@ -1,13 +1,10 @@
 """Per-module fact extraction for the whole-program analyzer.
 
-The whole-program rules (SECRET-FLOW, PROTO-STATE, POOL-SAFETY) must be
-able to run without re-parsing an unchanged file — that is what makes
-the incremental cache (:mod:`repro.lint.cache`) actually incremental.
-So every fact the program layer needs is extracted here in **one AST
-walk per module** and is **JSON-serializable**: dotted import maps,
-per-function call records with taint atoms, op-tuple shapes, module
-globals.  :class:`repro.lint.program.Program` is assembled purely from
-these facts, whether they came from a fresh parse or from the cache.
+Every fact the whole-program rules (SECRET-FLOW, PROTO-STATE,
+POOL-SAFETY) need is extracted here in **one AST walk per module** and
+is **JSON-serializable**: dotted import maps, per-function call records
+with taint atoms, module globals.  :class:`repro.lint.program.Program`
+is assembled purely from these facts, never from ASTs.
 
 Taint atoms are the currency of the dataflow engine
 (:mod:`repro.lint.dataflow`).  An atom is a small list:
@@ -17,7 +14,7 @@ Taint atoms are the currency of the dataflow engine
 * ``["call", k]`` — the value derives from the return of the k-th call
   recorded in this function (classification of that call as
   source/sanitizer/sink happens later, at program-analysis time, so the
-  facts stay rule-agnostic and cacheable).
+  facts stay rule-agnostic).
 
 Constants carry no atoms.  Propagation here is deliberately coarse
 (any formatting, slicing, concatenation or container keeps taint): a
@@ -29,9 +26,6 @@ from __future__ import annotations
 import ast
 import re
 from typing import Any
-
-#: Bump when the fact schema changes; invalidates cache entries.
-FACTS_VERSION = 1
 
 #: Attribute names whose *read* is recorded as a pseudo-call so the
 #: dataflow layer can treat them as taint sources (LKH node/group keys
@@ -53,10 +47,6 @@ _MUTABLE_FACTORIES = {
 _MUTABLE_LITERALS = (
     ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp,
 )
-
-#: Workpool op kinds; a tuple literal starting with one of these is an
-#: op-tuple construction site (POOL-SAFETY).
-OP_KINDS = ("verify", "derive", "sign")
 
 
 def dotted_expr(node: ast.AST) -> str | None:
@@ -122,7 +112,6 @@ class _FunctionExtractor:
         }
         self.calls: list[dict] = []
         self.ret: set = set()
-        self.op_tuples: list[dict] = []
         self._in_raise = 0
 
     # -- expression atoms -----------------------------------------------------
@@ -143,8 +132,6 @@ class _FunctionExtractor:
             return self.atoms(node.value)
         if isinstance(node, ast.Call):
             return frozenset({("call", self._record_call(node))})
-        if isinstance(node, ast.Tuple) and self._is_op_tuple(node):
-            self._record_op_tuple(node)
         if isinstance(node, ast.Lambda):
             return frozenset()
         # Generic union over child expressions (BinOp, JoinedStr,
@@ -221,36 +208,6 @@ class _FunctionExtractor:
             "in_raise": self._in_raise > 0,
         })
         return len(self.calls) - 1
-
-    # -- op tuples (POOL-SAFETY) ----------------------------------------------
-
-    @staticmethod
-    def _is_op_tuple(node: ast.Tuple) -> bool:
-        return (
-            len(node.elts) >= 4
-            and isinstance(node.elts[0], ast.Constant)
-            and node.elts[0].value in OP_KINDS
-        )
-
-    def _record_op_tuple(self, node: ast.Tuple) -> None:
-        key = node.elts[1]
-        if isinstance(key, ast.Call):
-            terminal = (
-                key.func.attr if isinstance(key.func, ast.Attribute)
-                else key.func.id if isinstance(key.func, ast.Name)
-                else "<dynamic>"
-            )
-            key_form = f"call:{terminal}"
-        else:
-            dotted = dotted_expr(key)
-            terminal = dotted.rsplit(".", 1)[-1] if dotted else "<expr>"
-            key_form = f"name:{terminal}"
-        self.op_tuples.append({
-            "kind": node.elts[0].value,
-            "line": node.lineno,
-            "col": node.col_offset + 1,
-            "key_form": key_form,
-        })
 
     # -- statements -----------------------------------------------------------
 
@@ -367,7 +324,6 @@ class _FunctionExtractor:
             "is_repr": node.name in ("__repr__", "__str__"),
             "calls": self.calls,
             "ret": sorted(map(list, self.ret)),
-            "op_tuples": self.op_tuples,
             "global_reads": global_reads,
         }
 
@@ -474,7 +430,6 @@ def extract_module_facts(path: str, source: str, tree: ast.Module, module: str) 
     )
 
     return {
-        "version": FACTS_VERSION,
         "module": module,
         "path": path,
         "imports": imports,

@@ -1,10 +1,9 @@
 """Whole-program view: modules, functions, and the call graph.
 
 A :class:`Program` is assembled from per-module fact dicts
-(:func:`repro.lint.facts.extract_module_facts`) — never from ASTs — so
-the whole-program rules can run off the incremental cache without
-re-parsing unchanged files.  It indexes every function by its qualified
-name (``repro.crypto.kdf.derive_k2``,
+(:func:`repro.lint.facts.extract_module_facts`), never from ASTs.  It
+indexes every function by its qualified name
+(``repro.crypto.kdf.derive_k2``,
 ``repro.protocol.object.ObjectEngine.handle_que2``) and exposes the
 call graph the dataflow engine and POOL-SAFETY closure walk.
 """

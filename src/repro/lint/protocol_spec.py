@@ -80,15 +80,3 @@ def message_qualified(name: str) -> str:
 QUALIFIED_MESSAGES: dict[str, str] = {
     message_qualified(name): name for name in HANDLERS
 }
-
-
-def base_handler(function_name: str) -> str | None:
-    """Map a function name to the spec handler it implements.
-
-    Batch variants (``handle_que2_batch``) inherit the contract of the
-    underlying handler.
-    """
-    name = function_name
-    if name.endswith("_batch"):
-        name = name[: -len("_batch")]
-    return name if name in RESPONSES else None

@@ -26,8 +26,6 @@ class LintResult:
     baselined: list[Finding] = field(default_factory=list)
     suppressed: int = 0
     checked_files: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     @property
     def failed(self) -> bool:
@@ -45,8 +43,6 @@ def render_text(result: LintResult) -> str:
         f"{len(result.baselined)} baselined, {result.suppressed} suppressed "
         f"across {result.checked_files} file(s)"
     )
-    if result.cache_hits or result.cache_misses:
-        summary += f" [cache: {result.cache_hits} hit, {result.cache_misses} miss]"
     lines.append(summary)
     return "\n".join(lines)
 

@@ -1,24 +1,12 @@
-"""POOL-SAFETY: op tuples and worker closures must survive fork + pickle.
+"""POOL-SAFETY: process-pool worker closures must survive fork.
 
-The crypto worker pool (:mod:`repro.crypto.workpool`) ships op tuples
-(``("verify", key_bytes, strength, sig, msg)``) to forked worker
-processes.  Two classes of bug get past review:
-
-1. **Unserializable key capture** — putting a live key handle (an
-   ``EphemeralECDH``, a ``cryptography`` private-key object) into an op
-   tuple instead of its serialized bytes.  It may even work under fork
-   (the child inherits the object) and then break under spawn, or
-   silently share OpenSSL state across processes.  The rule requires
-   the key slot of every op tuple to be a serializer call
-   (``to_bytes``/``private_der``/...) or a name that is visibly
-   serialized (``*_der``, ``*_pem``, ``*_bytes``, ...).
-2. **Fork-unsafe globals** — a function reachable from pool-worker
-   entry points (anything passed to ``executor.map``/``submit`` or as
-   an ``initializer=``) that touches a *mutable module global* shares
-   that state with the parent at fork time.  A per-worker cache is fine
-   **iff** it is declared so: annotate the global's definition line with
-   ``# argus-lint: pool-safe``, or register a reset hook via
-   ``os.register_at_fork`` in the same module.
+A function reachable from pool-worker entry points (anything passed to
+``executor.map``/``submit`` or as an ``initializer=``; the experiment
+runner forks through ``ProcessPoolExecutor.map``) that touches a
+*mutable module global* shares that state with the parent at fork
+time.  A per-worker cache is fine **iff** it is declared so: annotate
+the global's definition line with ``# argus-lint: pool-safe``, or
+register a reset hook via ``os.register_at_fork`` in the same module.
 
 The closure walk is whole-program: a helper two modules away from the
 ``executor.map`` call site is still checked.
@@ -31,17 +19,6 @@ from typing import Iterable
 from repro.lint.base import ProgramRule, name_tokens
 from repro.lint.findings import Finding
 from repro.lint.program import Program, ProgramFunction
-
-#: Call terminals that serialize a key object for transport.
-SERIALIZER_CALLS = frozenset({
-    "to_bytes", "private_der", "public_der", "private_pem", "public_pem",
-    "private_bytes", "public_bytes", "bytes", "serialize",
-})
-
-#: Name tokens that mark a value as already-serialized key material.
-SERIALIZED_TOKENS = frozenset({
-    "der", "pem", "sec1", "bytes", "blob", "raw", "packed", "b",
-})
 
 #: Executor/pool method terminals whose callable arguments become
 #: worker entry points.
@@ -66,36 +43,9 @@ def _base_tokens(raw: str) -> set[str]:
 class PoolSafetyRule(ProgramRule):
     RULE_ID = "POOL-SAFETY"
     SUMMARY = (
-        "workpool op tuples must carry serialized keys; worker-reachable "
-        "mutable globals must be fork-registered or marked pool-safe"
+        "worker-reachable mutable globals must be fork-registered or "
+        "marked pool-safe"
     )
-
-    def check_program(self, program: Program) -> Iterable[Finding]:
-        yield from self._check_op_tuples(program)
-        yield from self._check_worker_closure(program)
-
-    # -- op-tuple key slots ---------------------------------------------------
-
-    def _check_op_tuples(self, program: Program) -> Iterable[Finding]:
-        for fn in program.iter_functions():
-            for op in fn.facts["op_tuples"]:
-                form, _, terminal = op["key_form"].partition(":")
-                if form == "call":
-                    if terminal in SERIALIZER_CALLS:
-                        continue
-                elif form == "name":
-                    tokens = set(name_tokens(terminal))
-                    if tokens & SERIALIZED_TOKENS:
-                        continue
-                yield self.program_finding(
-                    fn.path, op["line"], op["col"],
-                    f"op tuple ('{op['kind']}', ...) in {fn.qualified} carries "
-                    f"key slot '{terminal}' that is not visibly serialized; "
-                    f"pass key bytes (to_bytes()/private_der()/..*_der/*_pem "
-                    f"names), not live key handles",
-                )
-
-    # -- worker-closure fork safety -------------------------------------------
 
     def _worker_roots(self, program: Program) -> set[str]:
         """Qualified names of functions handed to executors/pools."""
@@ -135,7 +85,7 @@ class PoolSafetyRule(ProgramRule):
             return candidate
         return expr
 
-    def _check_worker_closure(self, program: Program) -> Iterable[Finding]:
+    def check_program(self, program: Program) -> Iterable[Finding]:
         roots = self._worker_roots(program)
         if not roots:
             return

@@ -9,10 +9,10 @@ them (``repro.service``) — against the checked-in state machine in
    in the protocol package has its spec'd ``handle_*`` consumer defined
    somewhere in the package.  A new message type without a handler (or
    a renamed handler) is a protocol hole.
-2. **Response ordering** — a ``handle_*`` function (or its ``_batch``
-   variant) may only construct the message types the spec lists as its
-   legal responses; constructing QUE2 inside ``handle_que1`` would emit
-   a flight out of order.
+2. **Response ordering** — a ``handle_*`` function may only construct
+   the message types the spec lists as its legal responses;
+   constructing QUE2 inside ``handle_que1`` would emit a flight out of
+   order.
 3. **Decoy constant-length** — a RES2/RRES construction whose
    ciphertext is random filler (a decoy) must derive the filler length
    from the padded-payload calibration
@@ -86,16 +86,15 @@ class ProtoStateRule(ProgramRule):
     def _check_order(
         self, fn: ProgramFunction, call: dict, message: str
     ) -> Iterable[Finding]:
-        handler = spec.base_handler(fn.name)
-        if handler is None:
+        allowed = spec.RESPONSES.get(fn.name)
+        if allowed is None:
             return
-        allowed = spec.RESPONSES[handler]
         if message not in allowed:
             legal = ", ".join(sorted(allowed)) or "nothing"
             yield self.program_finding(
                 fn.path, call["line"], call["col"],
                 f"{fn.qualified} constructs {message} out of protocol order "
-                f"({handler} may emit: {legal})",
+                f"({fn.name} may emit: {legal})",
             )
 
     # -- decoy constant-length ------------------------------------------------

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from repro.backend.registration import ObjectCredentials, SubjectCredentials
 from repro.crypto.costmodel import NEXUS6, RASPBERRY_PI3, DeviceProfile
-from repro.crypto.workpool import CryptoWorkerPool
 from repro.net.node import GroundNetwork, SimNode, SizeMode, TimingMode
 from repro.net.radio import DEFAULT_WIFI, LinkModel
 from repro.net.simulator import Simulator
@@ -60,27 +59,11 @@ def simulate_concurrent_discovery(
     seed: int = 0,
     deadline_s: float = 120.0,
     resumption: bool = False,
-    object_cores: int = 1,
-    batch_window_s: float = 0.0,
-    crypto_pool: "CryptoWorkerPool | None" = None,
-    crypto_workers: int = 0,
-    object_session_limit: int | None = None,
 ) -> ConcurrentTimeline:
     """All subjects discover the same object fleet over one shared channel.
 
     ``stagger_s`` spaces the QUE1 broadcasts (0 = simultaneous burst, the
     worst case for contention).
-
-    ``batch_window_s`` > 0 switches every object onto the batched QUE2
-    drain (:mod:`repro.crypto.workpool`): queued QUE2s are answered
-    together each window, spread across ``object_cores`` compute lanes,
-    with the batch's public-key operations dispatched through
-    ``crypto_pool`` (None = in-process fallback, identical results) —
-    or through a warm pool the network owns for the round when
-    ``crypto_workers`` > 0 (spawned before the simulation starts,
-    released when it ends).
-    ``object_session_limit`` widens the objects' half-open session table
-    for throughput-scale rounds (default: the engine's own limit).
 
     ``resumption`` simulates a *re*-discovery: every subject first
     completes one full in-memory discovery against the fleet (off the
@@ -94,32 +77,20 @@ def simulate_concurrent_discovery(
     graph = shared_floor(subject_ids, object_ids)
 
     sim = Simulator()
-    net = GroundNetwork(
-        sim, graph, link, timing, sizes, seed=seed,
-        batch_window_s=batch_window_s, crypto_pool=crypto_pool,
-        crypto_workers=crypto_workers,
-    )
+    net = GroundNetwork(sim, graph, link, timing, sizes, seed=seed)
 
-    engine_kwargs: dict = {}
-    if object_session_limit is not None:
-        engine_kwargs["session_limit"] = object_session_limit
     engines: dict[str, SubjectEngine] = {}
     for creds in subject_creds:
         engine = SubjectEngine(creds, version)
         engines[creds.subject_id] = engine
         net.add_node(SimNode(creds.subject_id, "subject", subject_profile, engine))
     object_engines: dict[str, ObjectEngine] = {
-        creds.object_id: ObjectEngine(
-            creds, version, issue_tickets=resumption, **engine_kwargs
-        )
+        creds.object_id: ObjectEngine(creds, version, issue_tickets=resumption)
         for creds in object_creds
     }
     for creds in object_creds:
         net.add_node(
-            SimNode(
-                creds.object_id, "object", object_profile,
-                object_engines[creds.object_id], cores=object_cores,
-            )
+            SimNode(creds.object_id, "object", object_profile, object_engines[creds.object_id])
         )
 
     timeline = ConcurrentTimeline()
@@ -163,10 +134,7 @@ def simulate_concurrent_discovery(
 
         sim.schedule(delay, kick)
 
-    try:
-        sim.run(until=deadline_s)
-    finally:
-        net.close()  # releases the pool only when this round owns it
+    sim.run(until=deadline_s)
     for subject_id in subject_ids:
         timeline.discovered_counts.setdefault(subject_id, 0)
     return timeline

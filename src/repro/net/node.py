@@ -27,7 +27,6 @@ import networkx as nx
 
 from repro.crypto.costmodel import DeviceProfile
 from repro.crypto.meter import metered
-from repro.crypto.workpool import CryptoWorkerPool
 from repro.net.faults import CorruptedFrame, FaultLayer, FaultSchedule
 from repro.net.radio import LinkModel, Radio
 from repro.net.simulator import Simulator
@@ -106,25 +105,14 @@ class SimNode:
         role: str,
         profile: DeviceProfile,
         engine: SubjectEngine | ObjectEngine | None = None,
-        cores: int = 1,
     ) -> None:
-        if cores < 1:
-            raise ValueError(f"cores must be >= 1, got {cores}")
         self.name = name
         self.role = role
         self.profile = profile
         self.engine = engine
         self.radio = Radio(name)
         self.cpu_busy_until = 0.0
-        #: Parallel compute lanes for *batched* work (the multi-core
-        #: crypto worker pool of repro.crypto.workpool; a Raspberry Pi 3
-        #: object genuinely has 4 cores).  Serial delivery still uses one
-        #: lane — only the QUE2 batch drain schedules across all of them.
-        self.cores = cores
         self.stats = NodeStats()
-        #: QUE2s awaiting the batch drain (GroundNetwork.batch_window_s).
-        self.que2_queue: list[tuple[Que2, str]] = []
-        self.que2_drain_scheduled = False
         #: Optional access-layer endpoints (post-discovery commands).
         self.command_handler = None   # CommandHandler on objects
         self.command_client = None    # CommandClient on subjects
@@ -140,7 +128,6 @@ class SimNode:
         """
         self.cpu_busy_until = now
         self.stats.crashes += 1
-        self.que2_queue.clear()
         if self.engine is not None:
             self.engine.reset_cold()
 
@@ -157,37 +144,12 @@ class GroundNetwork:
         sizes: SizeMode = SizeMode.NOMINAL,
         seed: int = 0,
         faults: FaultLayer | FaultSchedule | None = None,
-        batch_window_s: float = 0.0,
-        crypto_pool: "CryptoWorkerPool | None" = None,
-        crypto_workers: int = 0,
     ) -> None:
-        """``batch_window_s`` > 0 turns on QUE2 batch drains: instead of
-        answering each QUE2 on arrival, an object node queues them and
-        drains the queue through
-        :meth:`~repro.protocol.object.ObjectEngine.handle_que2_batch`
-        every window, spreading the batch across the node's ``cores``
-        compute lanes.  ``crypto_pool`` is the shared
-        :class:`~repro.crypto.workpool.CryptoWorkerPool` the drains
-        dispatch to (None = inline fallback — same results, no
-        processes).  Alternatively ``crypto_workers`` > 0 makes the
-        network *own* a warm pool: workers spawn here, once, outside the
-        simulated timeline, are reused by every drain, and are released
-        by :meth:`close` (or by using the network as a context
-        manager)."""
-        if batch_window_s < 0:
-            raise ValueError(f"batch_window_s must be >= 0, got {batch_window_s}")
-        if crypto_pool is not None and crypto_workers:
-            raise ValueError("pass crypto_pool or crypto_workers, not both")
         self.sim = sim
         self.graph = graph
         self.link = link
         self.timing = timing
         self.sizes = sizes
-        self.batch_window_s = batch_window_s
-        self._owns_pool = crypto_pool is None and crypto_workers > 0
-        if self._owns_pool:
-            crypto_pool = CryptoWorkerPool(crypto_workers).warm()
-        self.crypto_pool = crypto_pool
         self.rng = random.Random(seed)
         self.nodes: dict[str, SimNode] = {}
         self._path_cache: dict[tuple[str, str], list[str]] = {}
@@ -214,20 +176,6 @@ class GroundNetwork:
         if node.name not in self.graph:
             raise ValueError(f"{node.name!r} is not in the topology")
         self.nodes[node.name] = node
-
-    # -- worker-pool lifecycle ----------------------------------------------------
-
-    def close(self) -> None:
-        """Release the crypto worker pool this network owns (no-op when
-        the pool was passed in — its creator keeps the lifecycle)."""
-        if self._owns_pool and self.crypto_pool is not None:
-            self.crypto_pool.close()
-
-    def __enter__(self) -> "GroundNetwork":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # -- transport ---------------------------------------------------------------
 
@@ -388,13 +336,6 @@ class GroundNetwork:
                 return
         if node.engine is None:
             return
-        if (
-            self.batch_window_s > 0.0
-            and isinstance(message, Que2)
-            and isinstance(node.engine, ObjectEngine)
-        ):
-            self._enqueue_que2(dst, message, src)
-            return
         node.engine.tick(self.sim.now)
         start = max(self.sim.now, node.cpu_busy_until)
         replies, compute_s = self._run_engine(node, message, src)
@@ -413,72 +354,6 @@ class GroundNetwork:
                 node.cpu_busy_until,
                 lambda: [self.unicast(dst, to, reply) for reply, to in replies],
             )
-
-    # -- batched QUE2 drain (repro.crypto.workpool) --------------------------------
-
-    def _enqueue_que2(self, dst: str, que2: Que2, src: str) -> None:
-        """Queue a QUE2 for the object's next batch drain."""
-        node = self.nodes[dst]
-        node.que2_queue.append((que2, src))
-        if not node.que2_drain_scheduled:
-            node.que2_drain_scheduled = True
-            self.sim.schedule(self.batch_window_s, lambda: self._drain_que2s(dst))
-
-    def _drain_que2s(self, dst: str) -> None:
-        """Answer every queued QUE2 in one batched pass.
-
-        The batch's public-key work runs through ``crypto_pool`` (pass 1)
-        and the per-item handlers execute under individual meters (pass
-        2), so each handshake is priced exactly as the serial path prices
-        it — then the items are packed greedily onto the node's ``cores``
-        compute lanes.  Replies and ``on_processed`` hooks fire at each
-        item's own lane-finish time; the CPU is busy until the last lane
-        drains.  A crash between enqueue and drain empties the queue
-        (``crash_reset``), so a scheduled drain may find nothing to do.
-        """
-        node = self.nodes[dst]
-        node.que2_drain_scheduled = False
-        items, node.que2_queue = node.que2_queue, []
-        if not items or node.engine is None:
-            return
-        engine = node.engine
-        assert isinstance(engine, ObjectEngine)
-        engine.tick(self.sim.now)
-        setup_t0 = time.perf_counter()
-        with engine.precompute_que2_batch(items, self.crypto_pool):
-            setup_s = time.perf_counter() - setup_t0
-            lane_base = max(self.sim.now, node.cpu_busy_until)
-            if self.timing is TimingMode.MEASURED:
-                # The pool pass is parallel work; spread it over the lanes.
-                lane_base += setup_s / node.cores
-            lanes = [lane_base] * node.cores
-            for que2, src in items:
-                if self.timing is TimingMode.CALIBRATED:
-                    with metered() as tally:
-                        res2 = engine.handle_que2(que2, src)
-                    compute_s = node.profile.meter_cost_ms(tally) / 1000.0
-                else:
-                    t0 = time.perf_counter()
-                    res2 = engine.handle_que2(que2, src)
-                    compute_s = time.perf_counter() - t0
-                duration = compute_s + node.profile.per_message_ms / 1000.0
-                lane = min(range(len(lanes)), key=lanes.__getitem__)
-                finish = lanes[lane] + duration
-                lanes[lane] = finish
-                node.stats.compute_s += duration
-                node.stats.messages_handled += 1
-                if self.on_processed is not None:
-                    hook = self.on_processed
-                    self.sim.at(
-                        finish,
-                        lambda m=que2: hook(self.sim.now, node.name, m),
-                    )
-                if res2 is not None:
-                    self.sim.at(
-                        finish,
-                        lambda r=res2, s=src: self.unicast(dst, s, r),
-                    )
-        node.cpu_busy_until = max(lanes)
 
     def _run_engine(self, node: SimNode, message, src: str):
         """Dispatch a message into the node's engine; price the work."""

@@ -183,63 +183,6 @@ class ChainVerifier:
         while len(cache) > self.maxsize:
             cache.popitem(last=False)
 
-    def pending_verify_ops(self, data: bytes, now: int = 1) -> list[tuple]:
-        """The raw verify ops a cold :meth:`verify_chain_bytes` would run.
-
-        Read-only batch-precompute helper (:mod:`repro.crypto.workpool`):
-        honors every cache without touching it, meters nothing, and
-        returns ``("verify", issuer_key_sec1, strength, signature, tbs)``
-        tuples for exactly the signature checks the sequential walk
-        would perform right now.  Approximation in either direction is
-        safe — a missing op falls through to inline compute, an extra op
-        is an unused oracle entry — so structural failures simply stop
-        the decomposition where the sequential walk would stop.
-        """
-        hit = self._chain_ok.get(data)
-        if hit is not None:
-            leaf, lo, hi = hit
-            if lo <= now <= hi:
-                return []
-        try:
-            chain = CertificateChain.from_bytes(data)
-        except CertificateError:
-            return []
-        certs = chain.certificates
-        leaf = certs[0]
-        if not all(cert.valid_at(now) for cert in certs):
-            return []
-        ops: list[tuple] = []
-        if len(certs) == 1:
-            if leaf.issuer_id != self.root_id:
-                return []
-            issuer_key = self.root_key
-        else:
-            intermediates = certs[1:]
-            if self._verified.get(intermediates[0].to_bytes()) is None:
-                for child, parent in zip(intermediates, intermediates[1:]):
-                    if child.issuer_id != parent.subject_id:
-                        return ops
-                    ops.append(
-                        ("verify", parent.public_key.to_bytes(), child.strength,
-                         child.signature, child.tbs())
-                    )
-                top = intermediates[-1]
-                if top.issuer_id != self.root_id:
-                    return ops
-                ops.append(
-                    ("verify", self.root_key.to_bytes(), top.strength,
-                     top.signature, top.tbs())
-                )
-            if leaf.issuer_id != certs[1].subject_id:
-                return ops
-            issuer_key = certs[1].public_key
-        if (leaf.to_bytes(), issuer_key.to_bytes()) not in self._leaf_ok:
-            ops.append(
-                ("verify", issuer_key.to_bytes(), leaf.strength,
-                 leaf.signature, leaf.tbs())
-            )
-        return ops
-
     def warm_up(self, chain: CertificateChain, now: int = 1) -> None:
         """Pre-verify a chain so later calls hit the cache (bench setup)."""
         self.verify_chain_bytes(chain.to_bytes(), now)

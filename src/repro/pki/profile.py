@@ -49,19 +49,6 @@ def verify_cache_len() -> int:
         return len(_verify_cache)
 
 
-def peek_verify_cache(
-    admin_key_bytes: bytes, body: bytes, signature: bytes
-) -> bool | None:
-    """The cached verify result, if any — no metering, no LRU promotion.
-
-    The batch precompute pass (:mod:`repro.crypto.workpool`) uses this to
-    decide whether a PROF signature check needs pool dispatch without
-    perturbing the cache order or the §IX-B op accounting.
-    """
-    with _verify_lock:
-        return _verify_cache.get((admin_key_bytes, body, signature))
-
-
 class ProfileError(Exception):
     """Raised on malformed or unverifiable profiles."""
 

@@ -11,12 +11,10 @@ harness, and the discrete-event simulator.
 from __future__ import annotations
 
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
 
 from repro.backend.registration import ObjectCredentials
-from repro.crypto import aead, kdf, meter, workpool
+from repro.crypto import aead, kdf, meter
 from repro.crypto.ecdh import EphemeralECDH
 from repro.crypto.keypool import ecdh_keypair
 from repro.crypto.primitives import (
@@ -25,9 +23,8 @@ from repro.crypto.primitives import (
     fresh_nonce,
     random_bytes,
 )
-from repro.pki.certificate import CertificateChain, CertificateError
 from repro.pki.chain import ChainVerifier
-from repro.pki.profile import Profile, ProfileError, peek_verify_cache
+from repro.pki.profile import Profile, ProfileError
 from repro.protocol.errors import (
     AuthenticationError,
     FreshnessError,
@@ -316,109 +313,6 @@ class ObjectEngine:
             group_id=matched_group,
         )
         return res2
-
-    # -- batched phase 2 (repro.crypto.workpool) -----------------------------------
-
-    @contextmanager
-    # lint: indistinguishable
-    def precompute_que2_batch(
-        self,
-        items: Sequence[tuple[Que2, str]],
-        pool: "workpool.CryptoWorkerPool | None" = None,
-    ) -> Iterator[None]:
-        """Stage the batch's public-key work in the crypto oracles.
-
-        Pass 1 of the two-pass batch design: decompose the raw ECDSA
-        verifies and ECDH derives each pending QUE2 needs *right now*
-        (honoring the chain/PROF caches, so a certificate appearing
-        twice in the batch dispatches once), execute them through
-        *pool*, and stage the results where
-        :meth:`repro.crypto.ecdsa.VerifyingKey.verify` /
-        :meth:`repro.crypto.ecdh.EphemeralECDH.derive_premaster` look
-        them up.  The block then runs the **unmodified** sequential
-        handler per item, which meters, orders, and frames exactly as
-        it always did — wire bytes and §IX-B counts are identical by
-        construction, and an oracle miss silently computes inline.
-
-        Deliberately membership-blind (the INDIST-RETURN discipline):
-        decomposition touches only public inputs — chains, PROF bytes,
-        signatures, KEXMs — never ``mac_s3``, variants, or anything
-        derived from secret-group membership, so batching cannot leak
-        what the per-item handler keeps indistinguishable.
-        """
-        verify_ops: OrderedDict[tuple, None] = OrderedDict()
-        derive_ops: OrderedDict[tuple, tuple[int, bytes]] = OrderedDict()
-        admin = self.creds.admin_public
-        assert admin is not None
-        for que2, peer_id in items:
-            cached = self._res2_replay_cache.get(peer_id)
-            if cached is not None and constant_time_equal(
-                cached[0], que2.to_bytes()
-            ):
-                continue  # retransmission: answered from cache, no crypto
-            session = self._sessions.get(peer_id)
-            if session is None or session.finished:
-                continue  # sequential path is silent before any crypto
-            for op in self.verifier.pending_verify_ops(
-                que2.cert_chain_bytes, self.now
-            ):
-                verify_ops.setdefault(op, None)
-            try:
-                chain = CertificateChain.from_bytes(que2.cert_chain_bytes)
-                profile = Profile.from_bytes(que2.profile_bytes)
-            except (CertificateError, ProfileError):
-                continue  # sequential path fails before further crypto
-            if (
-                peek_verify_cache(
-                    admin.to_bytes(), profile.body_bytes(), profile.signature
-                )
-                is None
-            ):
-                verify_ops.setdefault(
-                    ("verify", admin.to_bytes(), admin.strength,
-                     profile.signature, profile.body_bytes()),
-                    None,
-                )
-            leaf = chain.certificates[0]
-            signed_bytes = session.transcript.snapshot() + que2.signed_portion()
-            verify_ops.setdefault(
-                ("verify", leaf.public_key.to_bytes(), leaf.strength,
-                 que2.signature, signed_bytes),
-                None,
-            )
-            derive_ops.setdefault(
-                ("derive", session.ecdh.private_der(), session.ecdh.strength,
-                 que2.kexm),
-                (id(session.ecdh), que2.kexm),
-            )
-        ops = list(verify_ops) + list(derive_ops)
-        executor = pool if pool is not None else workpool.CryptoWorkerPool(0)
-        results = executor.run_batch(ops)
-        verify_oracle: dict[tuple[bytes, bytes, bytes], bool] = {}
-        derive_oracle: dict[tuple[int, bytes], bytes] = {}
-        for op, result in zip(ops, results):
-            if op[0] == "verify":
-                verify_oracle[(op[1], op[3], op[4])] = result
-            elif result is not None:
-                derive_oracle[derive_ops[op]] = result
-        with workpool.precomputed(verify=verify_oracle, derive=derive_oracle):
-            yield
-
-    # lint: indistinguishable
-    def handle_que2_batch(
-        self,
-        items: Sequence[tuple[Que2, str]],
-        pool: "workpool.CryptoWorkerPool | None" = None,
-    ) -> list[Res2 | None]:
-        """Answer a batch of QUE2s; results in submission order.
-
-        Equivalent to ``[self.handle_que2(q, p) for q, p in items]`` —
-        same RES2 bytes, same meter counts, same error recording — with
-        the batch's independent public-key operations executed through
-        *pool* first (:meth:`precompute_que2_batch`).
-        """
-        with self.precompute_que2_batch(items, pool):
-            return [self.handle_que2(que2, peer_id) for que2, peer_id in items]
 
     # -- session resumption (RQUE -> RRES; symmetric ops only) ---------------------
 

@@ -9,17 +9,12 @@ uses K3").
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass
 
 from repro.backend.registration import SubjectCredentials
-from repro.crypto import aead, kdf, meter, workpool
-from repro.crypto.ecdh import EphemeralECDH
+from repro.crypto import aead, kdf
 from repro.crypto.keypool import ecdh_keypair
 from repro.crypto.primitives import constant_time_equal, fresh_nonce
-from repro.pki.certificate import CertificateChain, CertificateError
 from repro.pki.chain import ChainVerifier
 from repro.pki.profile import Profile, ProfileError
 from repro.protocol.errors import (
@@ -111,11 +106,6 @@ class SubjectEngine:
         self._pending_resume: dict[str, _ResumeState] = {}
         #: Engine clock in seconds, advanced by the transport's tick().
         self._clock: float = 0.0
-        #: Batch precompute residue (:meth:`precompute_res1_batch`):
-        #: peer id -> (pre-drawn ECDH pair, the meter records its pool
-        #: draw produced).  :meth:`handle_res1` pops and replays these so
-        #: op accounting lands where the sequential path charges it.
-        self._prepared_ecdh: dict[str, tuple[EphemeralECDH, meter.OpMeter]] = {}
 
     # -- round control -----------------------------------------------------------
 
@@ -179,15 +169,7 @@ class SubjectEngine:
             self._record(AuthenticationError(f"bad RES1 signature from {peer_id}"))
             return None
 
-        prepared = self._prepared_ecdh.pop(peer_id, None)
-        if prepared is None:
-            ecdh = ecdh_keypair(self.creds.strength)
-        else:
-            # Pre-drawn by precompute_res1_batch under a paused meter;
-            # replaying its records *here* charges the pool draw where
-            # the sequential path would have performed it.
-            ecdh, records = prepared
-            meter.replay(records)
+        ecdh = ecdh_keypair(self.creds.strength)
         try:
             pre_k = ecdh.derive_premaster(res1.kexm)
         except ValueError as exc:
@@ -217,24 +199,16 @@ class SubjectEngine:
         self._sessions[peer_id] = session
         return que2
 
-    def _signed_fields(self, kexm: bytes) -> bytes:
-        """The QUE2 fields SIG_S covers, for a round using *kexm*.
-
-        Shared by :meth:`_build_que2` and the batch precompute pass so
-        the pool signs exactly the bytes the sequential path signs.
-        """
-        return Que2(
-            profile_bytes=self.creds.profile.to_bytes(),
-            cert_chain_bytes=self.creds.cert_chain.to_bytes(),
+    def _build_que2(self, transcript: Transcript, keys: SessionKeys, kexm: bytes) -> Que2:
+        profile_bytes = self.creds.profile.to_bytes()
+        cert_bytes = self.creds.cert_chain.to_bytes()
+        signed_fields = Que2(
+            profile_bytes=profile_bytes,
+            cert_chain_bytes=cert_bytes,
             kexm=kexm,
             signature=b"\x00" * 4,  # placeholder; only signed_portion is used
             mac_s2=b"\x00" * 32,
         ).signed_portion()
-
-    def _build_que2(self, transcript: Transcript, keys: SessionKeys, kexm: bytes) -> Que2:
-        profile_bytes = self.creds.profile.to_bytes()
-        cert_bytes = self.creds.cert_chain.to_bytes()
-        signed_fields = self._signed_fields(kexm)
         signature = self.creds.signing_key.sign(transcript.snapshot() + signed_fields)
         mac_transcript = transcript.snapshot() + signed_fields + signature
         mac_s2 = keys.subject_mac(keys.k2, mac_transcript)
@@ -256,104 +230,6 @@ class SubjectEngine:
             mac_s2=mac_s2,
             mac_s3=mac_s3,
         )
-
-    # -- batched phase 1 (repro.crypto.workpool) -----------------------------------
-
-    @contextmanager
-    def precompute_res1_batch(
-        self,
-        items: Sequence[tuple[Res1, str]],
-        pool: "workpool.CryptoWorkerPool | None" = None,
-    ) -> Iterator[None]:
-        """Stage a RES1 batch's public-key work in the crypto oracles.
-
-        The subject-side mirror of
-        :meth:`repro.protocol.object.ObjectEngine.precompute_que2_batch`:
-        for every RES1 the sequential handler would actually process,
-        decompose the chain/signature verifies, pre-draw the round's
-        ephemeral ECDH pair (under a paused meter — the draw is charged
-        when :meth:`handle_res1` consumes it), and dispatch the derives
-        and the QUE2 signature alongside the verifies.  Duplicate
-        certificates across the batch dispatch once.  ECDSA signing is
-        randomized, so a pooled QUE2 signature is *a* valid signature
-        rather than a bitwise replay of a hypothetical sequential run —
-        exactly as two sequential runs differ from each other.
-        """
-        verify_ops: OrderedDict[tuple, None] = OrderedDict()
-        derive_ops: OrderedDict[tuple, tuple[int, bytes]] = OrderedDict()
-        sign_ops: OrderedDict[tuple, tuple[int, bytes]] = OrderedDict()
-        prepared: dict[str, tuple[EphemeralECDH, meter.OpMeter]] = {}
-        signing_pem: bytes | None = None
-        try:
-            for res1, peer_id in items:
-                if not self._r_s or peer_id in self._sessions or peer_id in prepared:
-                    continue  # sequential path rejects before any crypto
-                for op in self.verifier.pending_verify_ops(
-                    res1.cert_chain_bytes, self.now
-                ):
-                    verify_ops.setdefault(op, None)
-                try:
-                    chain = CertificateChain.from_bytes(res1.cert_chain_bytes)
-                except CertificateError:
-                    continue  # sequential path fails before further crypto
-                leaf = chain.certificates[0]
-                verify_ops.setdefault(
-                    ("verify", leaf.public_key.to_bytes(), leaf.strength,
-                     res1.signature, self._r_s + res1.r_o + res1.kexm),
-                    None,
-                )
-                with meter.paused() as records:
-                    ecdh = ecdh_keypair(self.creds.strength)
-                prepared[peer_id] = (ecdh, records)
-                derive_ops.setdefault(
-                    ("derive", ecdh.private_der(), ecdh.strength, res1.kexm),
-                    (id(ecdh), res1.kexm),
-                )
-                transcript = Transcript()
-                transcript.append(self._que1_bytes)
-                transcript.append(res1.to_bytes())
-                message = transcript.snapshot() + self._signed_fields(ecdh.kexm)
-                if signing_pem is None:
-                    signing_pem = self.creds.signing_key.to_pem()
-                sign_ops.setdefault(
-                    ("sign", signing_pem, self.creds.strength, message),
-                    (id(self.creds.signing_key), message),
-                )
-            ops = list(verify_ops) + list(derive_ops) + list(sign_ops)
-            executor = pool if pool is not None else workpool.CryptoWorkerPool(0)
-            results = executor.run_batch(ops)
-            verify_oracle: dict[tuple[bytes, bytes, bytes], bool] = {}
-            derive_oracle: dict[tuple[int, bytes], bytes] = {}
-            sign_oracle: dict[tuple[int, bytes], bytes] = {}
-            for op, result in zip(ops, results):
-                kind = op[0]
-                if kind == "verify":
-                    verify_oracle[(op[1], op[3], op[4])] = result
-                elif kind == "derive":
-                    if result is not None:
-                        derive_oracle[derive_ops[op]] = result
-                else:
-                    sign_oracle[sign_ops[op]] = result
-            self._prepared_ecdh.update(prepared)
-            with workpool.precomputed(
-                verify=verify_oracle, sign=sign_oracle, derive=derive_oracle
-            ):
-                yield
-        finally:
-            self._prepared_ecdh.clear()
-
-    def handle_res1_batch(
-        self,
-        items: Sequence[tuple[Res1, str]],
-        pool: "workpool.CryptoWorkerPool | None" = None,
-    ) -> list[Que2 | None]:
-        """Process a batch of RES1s; QUE2s in submission order.
-
-        Equivalent to ``[self.handle_res1(r, p) for r, p in items]`` with
-        the batch's public-key work executed through *pool* first.
-        """
-        with self.precompute_res1_batch(items, pool):
-            return [self.handle_res1(res1, peer_id) for res1, peer_id in items]
 
     # -- phase 2 responses -------------------------------------------------------------
 

@@ -37,7 +37,7 @@ sequence is re-acknowledged (the ACK was lost, not the push).
 from __future__ import annotations
 
 import asyncio
-from collections import Counter
+from collections import Counter, OrderedDict
 from typing import Callable
 
 from repro.backend.registration import ObjectCredentials
@@ -61,6 +61,11 @@ from repro.service.framing import (
 PEER_BURST_LIMIT = 64
 PEER_REFILL_PER_S = 256.0
 
+#: Hard cap on tracked peer buckets.  Past it the least recently seen
+#: peer's bucket is evicted, so a spoofed-source flood cannot grow the
+#: daemon's state without bound.
+PEER_BUCKET_LIMIT = 4096
+
 #: Attempts to land UDP and TCP on the same ephemeral port number.
 _PORT_PAIR_ATTEMPTS = 8
 
@@ -81,6 +86,10 @@ class _PeerBucket:
             return False
         self.tokens -= 1.0
         return True
+
+    def refilled(self, now: float, capacity: float, refill_per_s: float) -> bool:
+        """True once the bucket admits exactly like a fresh one."""
+        return self.tokens + (now - self.last) * refill_per_s >= capacity
 
 
 class ObjectServiceDaemon:
@@ -123,7 +132,8 @@ class ObjectServiceDaemon:
         self.update_receiver = update_receiver
         self._clock = clock
         self.stats: Counter = Counter()
-        self._buckets: dict[str, _PeerBucket] = {}
+        #: Peer buckets, least recently seen first.
+        self._buckets: OrderedDict[str, _PeerBucket] = OrderedDict()
         self._down = False
         self._udp: asyncio.DatagramTransport | None = None
         self._tcp: asyncio.base_events.Server | None = None
@@ -204,13 +214,34 @@ class ObjectServiceDaemon:
     def _admit(self, peer: str) -> bool:
         """Token-bucket admission; shed (silently) over budget."""
         now = self._clock()
-        bucket = self._buckets.get(peer)
+        buckets = self._buckets
+        bucket = buckets.get(peer)
         if bucket is None:
-            bucket = self._buckets[peer] = _PeerBucket(self.peer_burst_limit, now)
-        if bucket.take(now, self.peer_burst_limit, self.peer_refill_per_s):
+            bucket = buckets[peer] = _PeerBucket(self.peer_burst_limit, now)
+        else:
+            buckets.move_to_end(peer)
+        admitted = bucket.take(now, self.peer_burst_limit, self.peer_refill_per_s)
+        self._prune_buckets(now)
+        if admitted:
             return True
         self.stats["frames_shed"] += 1
         return False
+
+    def _prune_buckets(self, now: float) -> None:
+        """Forget refilled buckets, oldest first, then enforce the cap.
+
+        A bucket refilled to capacity admits exactly like a fresh one,
+        so dropping it changes no admission decision.  Only the front of
+        the recency order is examined and each bucket is popped at most
+        once per insertion: amortised O(1) per frame, never a scan.
+        """
+        buckets = self._buckets
+        while buckets and next(iter(buckets.values())).refilled(
+            now, self.peer_burst_limit, self.peer_refill_per_s
+        ):
+            buckets.popitem(last=False)
+        while len(buckets) > PEER_BUCKET_LIMIT:
+            buckets.popitem(last=False)
 
     def dispatch(self, data: bytes, peer: str) -> bytes | None:
         """One frame in, at most one frame out (None = silence).

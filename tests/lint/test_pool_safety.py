@@ -1,4 +1,4 @@
-"""POOL-SAFETY fixtures: op-tuple key slots and worker-closure globals."""
+"""POOL-SAFETY fixtures: worker-closure globals."""
 
 import textwrap
 
@@ -14,39 +14,6 @@ def findings(source: str, path: str = "src/repro/crypto/x.py") -> list:
         for f in lint_source(textwrap.dedent(source), path, rules=RULE)
         if f.rule_id == "POOL-SAFETY"
     ]
-
-
-class TestOpTupleKeySlots:
-    def test_bad_live_key_handle_in_op_tuple(self):
-        src = """
-            def decompose(leaf, strength, sig, msg):
-                return ("verify", leaf.public_key, strength, sig, msg)
-        """
-        out = findings(src)
-        assert out and "not visibly serialized" in out[0].message
-
-    def test_good_serializer_call_in_key_slot(self):
-        src = """
-            def decompose(leaf, strength, sig, msg):
-                return ("verify", leaf.public_key.to_bytes(), strength, sig, msg)
-        """
-        assert not findings(src)
-
-    def test_good_serialized_name_in_key_slot(self):
-        src = """
-            def decompose(priv_der, strength, peer_kexm):
-                return ("derive", priv_der, strength, peer_kexm)
-        """
-        assert not findings(src)
-
-    def test_good_short_tuples_are_not_op_tuples(self):
-        # ("sign", key) pairs (e.g. meter keys) must not be mistaken for
-        # workpool ops — ops always carry >= 4 elements.
-        src = """
-            def meter_key(key):
-                return ("sign", key)
-        """
-        assert not findings(src)
 
 
 WORKER_MODULE = """

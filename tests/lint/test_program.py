@@ -101,7 +101,7 @@ class TestFactExtraction:
         assert not facts["globals"]["LIMIT"]["mutable"]
 
     def test_register_at_fork_needs_a_real_call(self):
-        # A docstring *mention* must not count (workpool.py regression).
+        # A docstring *mention* must not count.
         assert not facts_for('"""uses os.register_at_fork somewhere"""')[
             "registers_at_fork"
         ]
@@ -111,18 +111,6 @@ class TestFactExtraction:
             os.register_at_fork(after_in_child=list)
             """
         )["registers_at_fork"]
-
-    def test_op_tuple_key_forms(self):
-        facts = facts_for(
-            """
-            def f(leaf, priv_der, strength, sig, msg):
-                a = ("verify", leaf.to_bytes(), strength, sig, msg)
-                b = ("derive", priv_der, strength, msg)
-                return a, b
-            """
-        )
-        forms = {op["kind"]: op["key_form"] for op in facts["functions"][0]["op_tuples"]}
-        assert forms == {"verify": "call:to_bytes", "derive": "name:priv_der"}
 
 
 class TestProgramAssembly:

@@ -54,17 +54,6 @@ class TestResponseOrdering:
         )
         assert not findings(src)
 
-    def test_batch_variant_inherits_handler_contract(self):
-        src = engine_source(
-            imports="from repro.protocol.messages import Res2",
-            helpers="""
-                def handle_rque_batch(self, msgs):
-                    return [Res2(r_o=b"r", ciphertext=b"c", mac_o=b"m") for _ in msgs]
-            """,
-        )
-        out = findings(src)
-        assert any("out of protocol order" in f.message for f in out)
-
     def test_non_handler_helpers_may_construct(self):
         src = engine_source(
             imports="from repro.protocol.messages import Que2",

@@ -221,46 +221,3 @@ class TestLRUBoundsAndCacheInfo:
         root, *_ = pki
         with pytest.raises(ValueError):
             ChainVerifier("root", root.public_key, maxsize=0)
-
-
-class TestPendingVerifyOps:
-    def test_cold_chain_decomposes_to_two_ops(self, pki):
-        root, _, _, chain = pki
-        verifier = ChainVerifier("root", root.public_key)
-        ops = verifier.pending_verify_ops(chain.to_bytes())
-        assert len(ops) == 2
-        assert all(op[0] == "verify" for op in ops)
-
-    def test_warm_chain_decomposes_to_nothing(self, pki):
-        root, _, _, chain = pki
-        verifier = ChainVerifier("root", root.public_key)
-        verifier.warm_up(chain)
-        assert verifier.pending_verify_ops(chain.to_bytes()) == []
-
-    def test_shared_intermediate_costs_one_leaf_op(self, pki):
-        root, _, _, chain = pki
-        verifier = ChainVerifier("root", root.public_key)
-        verifier.warm_up(chain)
-        other = _subject_chain(pki, "other", 300)
-        ops = verifier.pending_verify_ops(other.to_bytes())
-        assert len(ops) == 1  # intermediate ladder already cached
-
-    def test_decomposition_is_read_only(self, pki):
-        root, _, _, chain = pki
-        verifier = ChainVerifier("root", root.public_key)
-        with meter.metered() as tally:
-            verifier.pending_verify_ops(chain.to_bytes())
-        assert not tally.counts
-        assert verifier.cache_info() == verifier.cache_info()._replace()
-        assert verifier.cache_info().leaf_size == 0
-
-    def test_garbage_and_expired_yield_no_ops(self, pki):
-        root, inter, entity, _ = pki
-        verifier = ChainVerifier("root", root.public_key)
-        assert verifier.pending_verify_ops(b"garbage") == []
-        c_inter = issue_certificate("root", root, "region", inter.public_key, 31)
-        c_leaf = issue_certificate(
-            "region", inter, "dev", entity.public_key, 32, not_after=5
-        )
-        expired = CertificateChain((c_leaf, c_inter)).to_bytes()
-        assert verifier.pending_verify_ops(expired, now=10) == []

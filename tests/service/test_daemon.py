@@ -16,7 +16,7 @@ from repro.experiments.common import make_level_fleet
 from repro.protocol.messages import Rres, parse_message
 from repro.protocol.subject import SubjectEngine
 from repro.protocol.versions import Version
-from repro.service.daemon import ObjectServiceDaemon
+from repro.service.daemon import PEER_BUCKET_LIMIT, ObjectServiceDaemon
 from repro.service.framing import (
     ack_frame,
     read_stream_frame,
@@ -141,6 +141,52 @@ class TestDispatchDegradation:
         assert service is not None
         assert daemon.stats["crashes"] == 1
         assert daemon.stats["restarts"] == 1
+
+
+class TestPeerStateBound:
+    """Per-peer admission state stays bounded under hostile input."""
+
+    def test_spoofed_source_flood_stays_under_the_cap(self, level2_fleet):
+        # 10^5 junk datagrams from 10^4 spoofed sources, all at one
+        # instant: no bucket refills, so only the hard cap bounds state.
+        _, objects, _ = level2_fleet
+        daemon = make_daemon(objects[0])
+        peak = 0
+        for i in range(100_000):
+            daemon.dispatch(b"\xffjunk", f"10.0.{i % 10_000}:9")
+            peak = max(peak, len(daemon._buckets))
+        assert peak <= PEER_BUCKET_LIMIT
+        assert daemon.stats["wire_errors"] == 100_000
+
+    def test_refilled_buckets_are_forgotten(self, level2_fleet):
+        _, objects, _ = level2_fleet
+        clock = ManualClock()
+        daemon = make_daemon(objects[0], clock=clock)
+        for i in range(100):
+            daemon.dispatch(b"\xffjunk", f"peer-{i}")
+        assert len(daemon._buckets) == 100
+        # One frame refills in 1/refill seconds; afterwards every old
+        # bucket is indistinguishable from a fresh one and is dropped.
+        clock.t = 1.0 / daemon.peer_refill_per_s
+        daemon.dispatch(b"\xffjunk", "late")
+        assert list(daemon._buckets) == ["late"]
+
+    def test_cap_evicts_least_recent_not_an_active_flooder(self, level2_fleet):
+        _, objects, _ = level2_fleet
+        daemon = make_daemon(objects[0], peer_burst_limit=2, peer_refill_per_s=0.0)
+        daemon.dispatch(b"\xffjunk", "flood")
+        daemon.dispatch(b"\xffjunk", "flood")
+        over_budget = 0
+        for i in range(2 * PEER_BUCKET_LIMIT):
+            daemon.dispatch(b"\xffjunk", f"spoof-{i}")
+            if i % 100 == 0:
+                daemon.dispatch(b"\xffjunk", "flood")
+                over_budget += 1
+        # The flooder stayed recent, so the cap never reset its empty
+        # bucket: every frame past its burst was shed.
+        assert "flood" in daemon._buckets
+        assert daemon.stats["frames_shed"] == over_budget
+        assert len(daemon._buckets) == PEER_BUCKET_LIMIT
 
 
 class TestUpdateDispatch:
