@@ -28,7 +28,7 @@ from pathlib import Path
 
 from repro.analysis.overhead import exchange_totals
 from repro.experiments.common import make_level_fleet
-from repro.net.faults import burst_loss_schedule
+from repro.net.faults import FaultLayer, burst_loss_schedule
 from repro.net.run import RetryPolicy, simulate_discovery
 from repro.protocol.messages import (
     parse_message,
@@ -43,6 +43,11 @@ BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_service.json"
 BENCH_RETRY = RetryPolicy(base_timeout_s=0.06, give_up_s=1.5)
 CHAOS_LOSS = 0.20
 CHAOS_SEED = 0
+#: The smoke run's seed, on a one-object fleet.  A lone link carries the
+#: exchange serially (QUE1, RES1, QUE2, RES2), and this seed's burst-loss
+#: draws deliver the first two frames and drop the third: the QUE2, which
+#: only the QUE2 retry can recover (test_smoke_schedule_drops_the_que2).
+SMOKE_CHAOS_SEED = 32
 
 
 def _capture_live(level: int, *, resume: bool = False) -> dict:
@@ -158,13 +163,25 @@ def test_live_totals_match_section_ix_a():
     assert resumed == lens2["Rque"] + lens2["Rres"]
 
 
+def test_smoke_schedule_drops_the_que2():
+    """The smoke seed's schedule, replayed over one serial exchange."""
+    layer = FaultLayer(
+        burst_loss_schedule(CHAOS_LOSS, seed=SMOKE_CHAOS_SEED),
+        seed=SMOKE_CHAOS_SEED,
+    )
+    hops = [("subject", "object"), ("object", "subject"), ("subject", "object")]
+    dropped = [layer.frame_fate(src, dst, 0.0).dropped for src, dst in hops]
+    assert dropped == [False, False, True]  # QUE1, RES1 delivered; QUE2 lost
+
+
 def test_live_chaos_gate(request):
     """≥99% live completion under 20% burst loss; --smoke shrinks it."""
     if request.config.getoption("--smoke"):
-        result = chaos_gate(fleet=2, seeds=(CHAOS_SEED,))
+        result = chaos_gate(fleet=1, seeds=(SMOKE_CHAOS_SEED,))
     else:
         result = chaos_gate()
     assert result["completion_ratio"] >= 0.99, result
+    assert result["frames_dropped"] > 0, result
     assert result["retransmissions"] > 0, result
 
 
@@ -174,7 +191,7 @@ def test_live_chaos_gate(request):
 def chaos_gate(fleet: int = 3, seeds=(0, 1, 2)) -> dict:
     """Live burst-loss completion, pinned seeds; exact and replayable."""
     subject, objects, _ = make_level_fleet(fleet, level=2)
-    completed = total = retransmissions = 0
+    completed = total = retransmissions = frames_dropped = 0
     for seed in seeds:
         async def run(seed=seed):
             schedule = burst_loss_schedule(CHAOS_LOSS, seed=seed)
@@ -190,12 +207,17 @@ def chaos_gate(fleet: int = 3, seeds=(0, 1, 2)) -> dict:
                     found = await client.discover(
                         harness.endpoints(), rounds=12, allow_resume=False
                     )
-                return len(found), client.stats.retransmissions
+                dropped = sum(
+                    proxy.counters["frames_dropped"]
+                    for proxy in harness.proxies.values()
+                )
+                return len(found), client.stats.retransmissions, dropped
 
-        found, retx = asyncio.run(run())
+        found, retx, dropped = asyncio.run(run())
         completed += found
         total += fleet
         retransmissions += retx
+        frames_dropped += dropped
     return {
         "burst_loss": CHAOS_LOSS,
         "fleet": fleet,
@@ -204,6 +226,7 @@ def chaos_gate(fleet: int = 3, seeds=(0, 1, 2)) -> dict:
         "total": total,
         "completion_ratio": completed / total,
         "retransmissions": retransmissions,
+        "frames_dropped": frames_dropped,
     }
 
 

@@ -31,17 +31,17 @@ def replay_attack(
     assert capture.que1 is not None and capture.que2 is not None
 
     # 1. Duplicate QUE1: must be silently dropped (duplicate R_S).
-    before = len(target.errors)
+    before = target.errors_recorded
     res1_again = target.handle_que1(capture.que1, subject_peer_id)
     que1_dropped = res1_again is None and any(
-        isinstance(e, FreshnessError) for e in target.errors[before:]
+        isinstance(e, FreshnessError) for e in target.errors_since(before)
     )
 
     # 2. Replayed QUE2 on the (now closed) original session.
-    before = len(target.errors)
+    before = target.errors_recorded
     res2_again = target.handle_que2(capture.que2, subject_peer_id)
     que2_dropped = res2_again is None and any(
-        isinstance(e, SessionError) for e in target.errors[before:]
+        isinstance(e, SessionError) for e in target.errors_since(before)
     )
 
     # 3. Splice: open a NEW session (fresh QUE1 from the attacker's

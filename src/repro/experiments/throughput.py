@@ -218,9 +218,9 @@ def _clone_object_engine(
     """A fresh engine holding copies of *source*'s open sessions.
 
     The copies share the (pure, reusable) session ECDH objects but get
-    their own transcripts and ``finished`` flags, so every measured
-    configuration answers the *identical* set of in-flight handshakes
-    from the same starting state.
+    their own transcripts and table, so every measured configuration
+    answers the *identical* set of in-flight handshakes from the same
+    starting state (a QUE2 pops its session from one clone only).
     """
     clone = ObjectEngine(creds, session_limit=source.session_limit)
     for peer, session in source._sessions.items():

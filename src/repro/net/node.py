@@ -402,7 +402,7 @@ class GroundNetwork:
                         payload = client.parse_response(s, m)
                     except Exception as exc:  # recorded, never crashes the sim
                         node.command_results.append((self.sim.now, s, b""))
-                        engine.errors.append(exc)
+                        engine.record_wire_error(exc)
                         return []
                     node.command_results.append((self.sim.now, s, payload))
                     return []

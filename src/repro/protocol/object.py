@@ -57,6 +57,12 @@ SESSION_LIMIT = 256
 PENDING_HANDSHAKE_TTL_S = 30.0
 #: Finished exchanges whose RES2 is kept for idempotent retransmission.
 RES2_CACHE_LIMIT = SESSION_LIMIT
+#: Transport peers whose authenticated identity is remembered; past it
+#: the least recently written mapping is forgotten.
+PEER_IDENTITY_LIMIT = 4096
+#: Recorded errors kept in ``ObjectEngine.errors``; past it the oldest
+#: half is dropped in one slice, so recording stays amortised O(1).
+ERROR_LOG_LIMIT = 1024
 
 
 @dataclass
@@ -65,7 +71,6 @@ class _ObjectSession:
     r_o: bytes
     ecdh: EphemeralECDH
     transcript: Transcript = field(default_factory=Transcript)
-    finished: bool = False
     #: Engine-clock time the QUE1 opened this session (TTL eviction).
     created_at: float = 0.0
 
@@ -147,10 +152,14 @@ class ObjectEngine:
         #: Network peer id -> authenticated subject identity (they differ
         #: when the transport addresses nodes by something other than the
         #: certificate identity, e.g. the simulator's node names).
-        self.peer_identity: dict[str, str] = {}
+        #: Least recently written first, capped at ``PEER_IDENTITY_LIMIT``.
+        self.peer_identity: OrderedDict[str, str] = OrderedDict()
         #: Protocol failures, recorded for tests/diagnostics (the engine
         #: stays silent on the wire — §III service information secrecy).
+        #: Only the newest ``ERROR_LOG_LIMIT`` are kept; ``errors_recorded``
+        #: counts all of them (see :meth:`errors_since`).
         self.errors: list[Exception] = []
+        self.errors_recorded = 0
         #: Hot-path memos; keyed on credential-object identities so a
         #: backend push that swaps a profile/variant list invalidates them.
         self._res1_l1_cache: tuple[int, Res1Level1] | None = None
@@ -213,11 +222,11 @@ class ObjectEngine:
         resend = self._cached_res2(peer_id, que2)
         if resend is not None:
             return resend
-        session = self._sessions.get(peer_id)
-        if session is None or session.finished:
+        # One QUE2 per handshake: the session and its ephemeral key go now.
+        session = self._sessions.pop(peer_id, None)
+        if session is None:
             self._record(SessionError(f"no open session for {peer_id}"))
             return None
-        session.finished = True  # one QUE2 per handshake, replays rejected
 
         # 1. Subject certificate chain -> authenticated subject identity.
         leaf = self.verifier.verify_chain_bytes(que2.cert_chain_bytes, self.now)
@@ -302,9 +311,8 @@ class ObjectEngine:
         ciphertext = aead.encrypt(session_key, plaintext)
         mac_o = keys.object_mac(session_key, res2_transcript)
         res2 = Res2(ciphertext=ciphertext, mac_o=mac_o)
-        session.transcript.append(res2.to_bytes())
         self._store_res2_cache(peer_id, que2, res2)
-        self.peer_identity[peer_id] = subject_id
+        self._remember_peer(peer_id, subject_id)
         self.established[subject_id] = EstablishedSession(
             peer_id=subject_id,
             key=session_key,
@@ -384,7 +392,7 @@ class ObjectEngine:
         ciphertext = aead.encrypt(session_key, plaintext)
         mac_o = kdf.object_finished(session_key, transcript + ciphertext)
         meter.record("resumption_accept")
-        self.peer_identity[peer_id] = body.peer_id
+        self._remember_peer(peer_id, body.peer_id)
         self.established[body.peer_id] = EstablishedSession(
             peer_id=body.peer_id,
             key=session_key,
@@ -454,16 +462,17 @@ class ObjectEngine:
         closes the remaining half-open exhaustion window where an
         attacker keeps the table full of fresh entries so legitimate
         handshakes get evicted young.
+
+        Insertion order is ``created_at`` order on a monotone host clock,
+        so only the front is read: amortised O(1) per frame.  A clock run
+        backwards leaves an expired entry behind a live one, still capped
+        by the LRU bound.
         """
         self._clock = now_s
         cutoff = now_s - self.pending_ttl_s
-        expired = [
-            peer
-            for peer, session in self._sessions.items()
-            if session.created_at < cutoff
-        ]
-        for peer in expired:
-            del self._sessions[peer]
+        sessions = self._sessions
+        while sessions and next(iter(sessions.values())).created_at < cutoff:
+            sessions.popitem(last=False)
 
     def reset_cold(self) -> None:
         """A crash: all volatile (RAM) state is gone.
@@ -481,6 +490,11 @@ class ObjectEngine:
     def record_wire_error(self, error: Exception) -> None:
         """The transport saw garbage addressed to us (corrupted frame)."""
         self._record(error)
+
+    def errors_since(self, mark: int) -> list[Exception]:
+        """The kept errors recorded after ``errors_recorded`` read *mark*."""
+        fresh = self.errors_recorded - mark
+        return self.errors[-fresh:] if fresh > 0 else []
 
     def _cached_res2(self, peer_id: str, que2: Que2) -> Res2 | None:
         """The byte-identical RES2 for an exactly-duplicated QUE2.
@@ -600,9 +614,19 @@ class ObjectEngine:
             self._seen_nonces.popitem(last=False)
 
     def _store_session(self, peer_id: str, session: _ObjectSession) -> None:
+        self._sessions.pop(peer_id, None)  # a re-QUE1 goes to the back
         self._sessions[peer_id] = session
         while len(self._sessions) > self.session_limit:
             self._sessions.popitem(last=False)
 
+    def _remember_peer(self, peer_id: str, subject_id: str) -> None:
+        self.peer_identity.pop(peer_id, None)
+        self.peer_identity[peer_id] = subject_id
+        while len(self.peer_identity) > PEER_IDENTITY_LIMIT:
+            self.peer_identity.popitem(last=False)
+
     def _record(self, error: Exception) -> None:
         self.errors.append(error)
+        self.errors_recorded += 1
+        if len(self.errors) > ERROR_LOG_LIMIT:
+            del self.errors[: len(self.errors) - (ERROR_LOG_LIMIT + 1) // 2]

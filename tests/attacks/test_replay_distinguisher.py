@@ -5,6 +5,8 @@ import pytest
 from repro.attacks.channel import run_exchange
 from repro.attacks.distinguisher import classify_subject, subject_advantage
 from repro.attacks.replay import replay_attack
+from repro.protocol import object as object_mod
+from repro.protocol.errors import MessageFormatError
 from repro.protocol.object import ObjectEngine
 from repro.protocol.subject import SubjectEngine
 from repro.protocol.versions import Version
@@ -26,6 +28,18 @@ class TestReplay:
         subject = SubjectEngine(fellow)
         capture = run_exchange(subject, target)
         result = replay_attack(capture, target, fellow.subject_id)
+        assert not result.spliced_que2_answered
+
+    def test_verdicts_survive_an_error_log_trim(self, staff, media, monkeypatch):
+        """A full error log is trimmed mid-attack; the verdicts hold."""
+        monkeypatch.setattr(object_mod, "ERROR_LOG_LIMIT", 2)
+        target = ObjectEngine(media)
+        capture = run_exchange(SubjectEngine(staff), target)
+        for _ in range(2):
+            target.record_wire_error(MessageFormatError("junk"))
+        result = replay_attack(capture, target, staff.subject_id)
+        assert not result.replayed_que1_answered
+        assert not result.replayed_que2_answered
         assert not result.spliced_que2_answered
 
     def test_fresh_round_after_replay_still_works(self, staff, media):

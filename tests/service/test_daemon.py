@@ -14,6 +14,7 @@ import pytest
 from repro.backend.updatewire import UpdatePublisher, UpdateReceiver
 from repro.experiments.common import make_level_fleet
 from repro.protocol.messages import Rres, parse_message
+from repro.protocol.object import ERROR_LOG_LIMIT
 from repro.protocol.subject import SubjectEngine
 from repro.protocol.versions import Version
 from repro.service.daemon import PEER_BUCKET_LIMIT, ObjectServiceDaemon
@@ -157,6 +158,16 @@ class TestPeerStateBound:
             peak = max(peak, len(daemon._buckets))
         assert peak <= PEER_BUCKET_LIMIT
         assert daemon.stats["wire_errors"] == 100_000
+
+    def test_junk_flood_leaves_the_error_log_under_the_cap(self, level2_fleet):
+        _, objects, _ = level2_fleet
+        daemon = make_daemon(objects[0])
+        peak = 0
+        for i in range(100_000):
+            daemon.dispatch(b"\xffjunk", f"10.0.{i % 10_000}:9")
+            peak = max(peak, len(daemon.engine.errors))
+        assert peak <= ERROR_LOG_LIMIT
+        assert daemon.engine.errors_recorded == 100_000
 
     def test_refilled_buckets_are_forgotten(self, level2_fleet):
         _, objects, _ = level2_fleet
