@@ -12,7 +12,7 @@ Commands:
 * ``table1`` — the updating-overhead comparison at chosen (N, alpha).
 * ``lint`` — protocol-invariant static analysis over the tree
   (docs/static-analysis.md); non-zero exit on new findings.
-* ``serve`` — run one object's live service daemon (UDP+TCP) from a
+* ``serve`` — run one object's live service daemon (UDP) from a
   provisioning snapshot (docs/service.md).
 * ``discover`` — run a subject's live discovery against daemon
   endpoints from the same snapshot.
@@ -181,7 +181,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         await daemon.start()
         host, port = daemon.address
         print(f"serving {creds.object_id} (level {creds.level}) on "
-              f"{host}:{port} (udp+tcp)", flush=True)
+              f"{host}:{port} (udp)", flush=True)
         try:
             await asyncio.Event().wait()  # until interrupted
         finally:
@@ -239,7 +239,7 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         stats = client.stats
         print(f"rounds={stats.rounds} retx={stats.retransmissions} "
               f"gave_up={stats.exchanges_given_up} "
-              f"resumed={stats.resumptions} tcp={stats.tcp_fallbacks}")
+              f"resumed={stats.resumptions}")
         return 0 if not missing else 1
 
     return asyncio.run(run())
@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--object", required=True, help="object id to serve")
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=0,
-                         help="UDP+TCP port (default: ephemeral, printed)")
+                         help="UDP port (default: ephemeral, printed)")
 
     p_disc = sub.add_parser(
         "discover", help="live discovery against daemon endpoints"

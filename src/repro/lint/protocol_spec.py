@@ -14,15 +14,10 @@ from __future__ import annotations
 #: Package whose modules are subject to PROTO-STATE.
 PROTOCOL_PACKAGE = "repro.protocol"
 
-#: The live transport package: daemon/client dispatch methods carry the
-#: same ``handle_*`` names as the engines they delegate to, so the
-#: handler-existence and response-ordering checks cover real-socket
-#: dispatch too (a daemon that answered RES2 from ``handle_que1`` would
-#: be just as out of order as an engine that did).
-SERVICE_PACKAGE = "repro.service"
-
-#: Every package PROTO-STATE walks.
-CHECKED_PACKAGES: tuple[str, ...] = (PROTOCOL_PACKAGE, SERVICE_PACKAGE)
+#: Every package PROTO-STATE walks.  Transports hold no handlers of
+#: their own: the simulator and the live daemon both route through
+#: ``ObjectEngine.receive``, so the engines are the one dispatcher.
+CHECKED_PACKAGES: tuple[str, ...] = (PROTOCOL_PACKAGE,)
 
 #: Module defining the wire message dataclasses.
 MESSAGES_MODULE = "repro.protocol.messages"

@@ -1,9 +1,8 @@
 """PROTO-STATE: protocol state-machine conformance against the spec.
 
 Checks every module in the spec's ``CHECKED_PACKAGES`` — the sans-IO
-engines (``repro.protocol``) and the live transport that dispatches to
-them (``repro.service``) — against the checked-in state machine in
-:mod:`repro.lint.protocol_spec`:
+engines (``repro.protocol``), which every transport dispatches into —
+against the checked-in state machine in :mod:`repro.lint.protocol_spec`:
 
 1. **Handler existence** — every wire message type constructed anywhere
    in the protocol package has its spec'd ``handle_*`` consumer defined

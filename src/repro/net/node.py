@@ -375,16 +375,10 @@ class GroundNetwork:
 
         engine = node.engine
         if isinstance(engine, ObjectEngine):
-            if isinstance(message, Que1):
-                return lambda m, s: self._to_replies(engine.handle_que1(m, s), s)
-            if isinstance(message, Que2):
-                return lambda m, s: self._to_replies(engine.handle_que2(m, s), s)
-            if isinstance(message, Rque):
-                return lambda m, s: self._to_replies(engine.handle_rque(m, s), s)
             if isinstance(message, Command) and node.command_handler is not None:
                 handler = node.command_handler
                 return lambda m, s: self._to_replies(handler.handle(m, s), s)
-            return None
+            return lambda m, s: self._to_replies(engine.receive(m, s), s)
         if isinstance(engine, SubjectEngine):
             if isinstance(message, Res1Level1):
                 return lambda m, s: (engine.handle_res1_level1(m, s), [])[1]

@@ -69,6 +69,15 @@ class RetryPolicy:
         base = self.base_timeout_s * self.backoff**attempt
         return base * (1.0 + self.jitter_fraction * rng.random())
 
+    def exhausted(self, attempt: int, elapsed_s: float) -> bool:
+        """True once an exchange should give up instead of re-sending.
+
+        *attempt* counts the retransmissions already made; *elapsed_s*
+        is the time since the first send.  Either budget running out
+        ends the exchange.
+        """
+        return attempt >= self.max_retries or elapsed_s >= self.give_up_s
+
 
 @dataclass
 class DiscoveryTimeline:
@@ -215,10 +224,7 @@ def simulate_discovery(
                 if dst in timeline.completion:
                     del pending_retry[dst]
                     return
-                if (
-                    state["attempt"] >= retry.max_retries
-                    or sim.now - state["first_sent"] >= retry.give_up_s
-                ):
+                if retry.exhausted(state["attempt"], sim.now - state["first_sent"]):
                     # Count the *exchange*, once — duplicated frames can
                     # arm several timers for one state, and each would
                     # otherwise land here and inflate the stat.

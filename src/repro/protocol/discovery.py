@@ -26,7 +26,6 @@ class DiscoveryResult:
     services: list[DiscoveredService] = field(default_factory=list)
     subject_ops: OpMeter = field(default_factory=OpMeter)
     object_ops: dict[str, OpMeter] = field(default_factory=dict)
-    subject_errors: list[Exception] = field(default_factory=list)
 
     @property
     def by_level(self) -> dict[int, list[DiscoveredService]]:
@@ -84,8 +83,6 @@ def run_round(
         result.subject_ops.merge(subject_meter)
         if service is not None:
             result.services.append(service)
-
-    result.subject_errors.extend(subject.errors)
     return result
 
 
@@ -129,8 +126,6 @@ def run_warm_round(
 
     if fallback:
         run_round(subject, fallback, group_id, result)
-    else:
-        result.subject_errors.extend(subject.errors)
     return result
 
 

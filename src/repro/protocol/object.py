@@ -27,6 +27,7 @@ from repro.pki.chain import ChainVerifier
 from repro.pki.profile import Profile, ProfileError
 from repro.protocol.errors import (
     AuthenticationError,
+    ErrorLog,
     FreshnessError,
     MessageFormatError,
     RevokedError,
@@ -60,9 +61,6 @@ RES2_CACHE_LIMIT = SESSION_LIMIT
 #: Transport peers whose authenticated identity is remembered; past it
 #: the least recently written mapping is forgotten.
 PEER_IDENTITY_LIMIT = 4096
-#: Recorded errors kept in ``ObjectEngine.errors``; past it the oldest
-#: half is dropped in one slice, so recording stays amortised O(1).
-ERROR_LOG_LIMIT = 1024
 
 
 @dataclass
@@ -75,7 +73,7 @@ class _ObjectSession:
     created_at: float = 0.0
 
 
-class ObjectEngine:
+class ObjectEngine(ErrorLog):
     """One object's protocol state machine."""
 
     def __init__(
@@ -120,6 +118,7 @@ class ObjectEngine:
         round's handshakes concurrently."""
         if creds.admin_public is None:
             raise ValueError("object credentials missing the admin public key")
+        super().__init__()
         self.creds = creds
         self.version = version
         self.now = now
@@ -154,16 +153,33 @@ class ObjectEngine:
         #: certificate identity, e.g. the simulator's node names).
         #: Least recently written first, capped at ``PEER_IDENTITY_LIMIT``.
         self.peer_identity: OrderedDict[str, str] = OrderedDict()
-        #: Protocol failures, recorded for tests/diagnostics (the engine
-        #: stays silent on the wire — §III service information secrecy).
-        #: Only the newest ``ERROR_LOG_LIMIT`` are kept; ``errors_recorded``
-        #: counts all of them (see :meth:`errors_since`).
-        self.errors: list[Exception] = []
-        self.errors_recorded = 0
         #: Hot-path memos; keyed on credential-object identities so a
         #: backend push that swaps a profile/variant list invalidates them.
         self._res1_l1_cache: tuple[int, Res1Level1] | None = None
         self._padded_len_cache: tuple[tuple, int] | None = None
+
+    # -- routing ------------------------------------------------------------------
+
+    def receive(
+        self, message: object, peer_id: str
+    ) -> Res1 | Res1Level1 | Res2 | Rres | None:
+        """Route one parsed flight to its handler; None means silence.
+
+        The one object-side router: the simulator and the live daemon
+        both call it, so a misaddressed flight is handled alike on
+        either wire.  A subject-bound flight (RES1, RES2, RRES, ...)
+        aimed at an object is recorded and never answered.
+        """
+        if isinstance(message, Que1):
+            return self.handle_que1(message, peer_id)
+        if isinstance(message, Que2):
+            return self.handle_que2(message, peer_id)
+        if isinstance(message, Rque):
+            return self.handle_rque(message, peer_id)
+        self._record(MessageFormatError(
+            f"{type(message).__name__} addressed to an object"
+        ))
+        return None
 
     # -- phase 1 ------------------------------------------------------------------
 
@@ -487,15 +503,6 @@ class ObjectEngine:
         self.established.clear()
         self.peer_identity.clear()
 
-    def record_wire_error(self, error: Exception) -> None:
-        """The transport saw garbage addressed to us (corrupted frame)."""
-        self._record(error)
-
-    def errors_since(self, mark: int) -> list[Exception]:
-        """The kept errors recorded after ``errors_recorded`` read *mark*."""
-        fresh = self.errors_recorded - mark
-        return self.errors[-fresh:] if fresh > 0 else []
-
     def _cached_res2(self, peer_id: str, que2: Que2) -> Res2 | None:
         """The byte-identical RES2 for an exactly-duplicated QUE2.
 
@@ -624,9 +631,3 @@ class ObjectEngine:
         self.peer_identity[peer_id] = subject_id
         while len(self.peer_identity) > PEER_IDENTITY_LIMIT:
             self.peer_identity.popitem(last=False)
-
-    def _record(self, error: Exception) -> None:
-        self.errors.append(error)
-        self.errors_recorded += 1
-        if len(self.errors) > ERROR_LOG_LIMIT:
-            del self.errors[: len(self.errors) - (ERROR_LOG_LIMIT + 1) // 2]

@@ -19,6 +19,7 @@ from repro.pki.chain import ChainVerifier
 from repro.pki.profile import Profile, ProfileError
 from repro.protocol.errors import (
     AuthenticationError,
+    ErrorLog,
     MessageFormatError,
     SessionError,
 )
@@ -77,7 +78,7 @@ class _ResumeState:
     created_at: float = 0.0
 
 
-class SubjectEngine:
+class SubjectEngine(ErrorLog):
     """One subject device's discovery state machine."""
 
     def __init__(
@@ -86,11 +87,11 @@ class SubjectEngine:
         version: Version = Version.V3_0,
         now: int = 1,
     ) -> None:
+        super().__init__()
         self.creds = creds
         self.version = version
         self.now = now
         self.verifier = ChainVerifier(creds.root_id, creds.admin_public)
-        self.errors: list[Exception] = []
         self._r_s: bytes = b""
         self._que1_bytes: bytes = b""
         self._sessions: dict[str, _SubjectSession] = {}
@@ -432,15 +433,8 @@ class SubjectEngine:
         self._r_s = b""
         self._que1_bytes = b""
 
-    def record_wire_error(self, error: Exception) -> None:
-        """The transport saw garbage addressed to us (corrupted frame)."""
-        self._record(error)
-
     # -- bookkeeping ---------------------------------------------------------------------
 
     @property
     def current_group(self) -> str:
         return self._group_id
-
-    def _record(self, error: Exception) -> None:
-        self.errors.append(error)

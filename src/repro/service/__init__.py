@@ -6,11 +6,11 @@ far — unit tests, the attack harness, the discrete-event simulator —
 shares one in-process wire.  This package puts the *same* engines on
 real sockets:
 
-* :mod:`repro.service.framing` — datagram/stream framing shared by
-  every endpoint (UDP carries one self-tagged frame per datagram; a
-  length-prefixed TCP stream is the fallback for oversized frames);
+* :mod:`repro.service.framing` — datagram framing shared by every
+  endpoint (UDP carries one self-tagged frame per datagram, no extra
+  header: every Argus flight fits one datagram);
 * :mod:`repro.service.daemon` — :class:`ObjectServiceDaemon`, an
-  asyncio UDP+TCP object daemon that answers the full
+  asyncio UDP object daemon that answers the full
   QUE1→RES1→QUE2→RES2 and RQUE→RRES flights and applies backend update
   pushes (revocations, ``TYPE_BUNDLE``, ``TYPE_LKH_REKEY``);
 * :mod:`repro.service.client` — :class:`SubjectServiceClient`, the
@@ -34,14 +34,7 @@ matrix.
 from repro.service.chaos import ChaosController, ChaosProxy, ServiceChaosHarness
 from repro.service.client import ClientStats, SubjectServiceClient
 from repro.service.daemon import ObjectServiceDaemon
-from repro.service.framing import (
-    MAX_DATAGRAM,
-    FrameKind,
-    OversizedFrame,
-    classify_frame,
-    read_stream_frame,
-    write_stream_frame,
-)
+from repro.service.framing import MAX_DATAGRAM, FrameKind, classify_frame
 from repro.service.update_stream import UpdateStreamPusher
 
 __all__ = [
@@ -51,11 +44,8 @@ __all__ = [
     "FrameKind",
     "MAX_DATAGRAM",
     "ObjectServiceDaemon",
-    "OversizedFrame",
     "ServiceChaosHarness",
     "SubjectServiceClient",
     "UpdateStreamPusher",
     "classify_frame",
-    "read_stream_frame",
-    "write_stream_frame",
 ]

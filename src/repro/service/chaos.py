@@ -18,12 +18,6 @@ are instead armed by :class:`ChaosController`, which drives the
 daemons' own :meth:`~repro.service.daemon.ObjectServiceDaemon.crash` /
 ``restart`` hooks at the windows' wall-clock times — the daemon loses
 its volatile state exactly as the simulated node does.
-
-The proxy also carries a faultless TCP passthrough on the same port, so
-a client demoted to the stream fallback keeps talking through the same
-endpoint address.  Faults stay UDP-only deliberately: TCP's own
-retransmission would mask byte-level chaos anyway, and the scenarios
-under test (loss, reorder, duplication) are datagram phenomena.
 """
 
 from __future__ import annotations
@@ -76,7 +70,7 @@ class ChaosController:
 
 
 class ChaosProxy:
-    """One lossy hop: clients ↔ proxy ↔ one daemon, faults on UDP.
+    """One lossy hop: clients ↔ proxy ↔ one daemon.
 
     Each client address gets its own connected relay socket toward the
     daemon, so replies route back unambiguously; both directions roll
@@ -109,7 +103,6 @@ class ChaosProxy:
         self._now_fn = now_fn
         self.counters: Counter = Counter()
         self._listen: asyncio.DatagramTransport | None = None
-        self._tcp: asyncio.base_events.Server | None = None
         self._relays: dict[Addr, asyncio.DatagramTransport] = {}
         self.port: int | None = None
 
@@ -122,9 +115,6 @@ class ChaosProxy:
             lambda: _ProxyFace(self), local_addr=(self.host, 0)
         )
         self.port = self._listen.get_extra_info("sockname")[1]
-        self._tcp = await asyncio.start_server(
-            self._pipe_stream, self.host, self.port
-        )
         return self
 
     @property
@@ -140,12 +130,8 @@ class ChaosProxy:
         for relay in self._relays.values():
             relay.close()
         self._relays.clear()
-        if self._tcp is not None:
-            self._tcp.close()
-            await self._tcp.wait_closed()
-            self._tcp = None
 
-    # -- the faulty UDP path --------------------------------------------------------
+    # -- the faulty path -------------------------------------------------------------
 
     def _from_client(self, data: bytes, client: Addr) -> None:
         self._roll(data, self.client_name, self.node_name, "c2o",
@@ -224,36 +210,6 @@ class ChaosProxy:
                 transport.sendto(frame)
 
         loop.create_task(connect())
-
-    # -- the faultless TCP passthrough ----------------------------------------------
-
-    async def _pipe_stream(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            up_reader, up_writer = await asyncio.open_connection(*self.upstream)
-        except OSError:
-            writer.close()
-            return
-        self.counters["tcp_connections"] += 1
-
-        async def pump(src: asyncio.StreamReader, dst: asyncio.StreamWriter) -> None:
-            try:
-                while True:
-                    chunk = await src.read(65536)
-                    if not chunk:
-                        break
-                    dst.write(chunk)
-                    await dst.drain()
-            except (ConnectionError, OSError):
-                pass
-            finally:
-                try:
-                    dst.close()
-                except (ConnectionError, OSError):
-                    pass
-
-        await asyncio.gather(pump(reader, up_writer), pump(up_reader, writer))
 
 
 class _PendingRelay:

@@ -1,11 +1,11 @@
 """The async subject client: discovery over real sockets.
 
 :class:`SubjectServiceClient` drives the sans-IO
-:class:`~repro.protocol.subject.SubjectEngine` over a UDP socket (with a
-per-endpoint TCP fallback) against a directory of daemon endpoints —
-loopback has no broadcast domain, so "broadcast QUE1" becomes "unicast
-the round's QUE1 frame to every endpoint", which carries byte-identical
-frames and therefore identical §IX-A accounting.
+:class:`~repro.protocol.subject.SubjectEngine` over a UDP socket against
+a directory of daemon endpoints — loopback has no broadcast domain, so
+"broadcast QUE1" becomes "unicast the round's QUE1 frame to every
+endpoint", which carries byte-identical frames and therefore identical
+§IX-A accounting.
 
 Recovery semantics are deliberately the simulator's
 (:class:`~repro.net.run.RetryPolicy`, docs/robustness.md):
@@ -23,13 +23,8 @@ Recovery semantics are deliberately the simulator's
   is counted **once** in :attr:`ClientStats.exchanges_given_up` and left
   to the next round — mirroring the fixed simulator accounting.
 
-The TCP fallback is triggered by one deterministic local condition: a
-frame we are about to send exceeds the datagram budget
-(:class:`~repro.service.framing.OversizedFrame`).  A mid-handshake
-transport switch is impossible — engine sessions are keyed by peer, and
-the daemon sees a different peer identity per transport — so the client
-marks the endpoint stream-mode and reruns the whole exchange over TCP
-in a fresh round (a fresh QUE1: the old nonce is burned).
+Every flight is one datagram: the largest frame the engines build (a
+QUE2 at strength 256) is about 1.2 KB, far below what UDP carries.
 
 Warm rediscovery tries the 2-message RQUE→RRES path for every endpoint
 it holds a ticket for; any failure (lost RRES, decoy on a replayed
@@ -57,14 +52,6 @@ from repro.protocol.messages import (
 )
 from repro.protocol.subject import DiscoveredService, SubjectEngine
 from repro.protocol.versions import Version
-from repro.service.framing import (
-    MAX_DATAGRAM,
-    FramingError,
-    OversizedFrame,
-    check_datagram,
-    read_stream_frame,
-    write_stream_frame,
-)
 
 Addr = tuple[str, int]
 
@@ -78,7 +65,7 @@ DEFAULT_ROUNDS = 8
 
 @dataclass
 class ClientStats:
-    """Counters for one client's lifetime (all transports)."""
+    """Counters for one client's lifetime."""
 
     rounds: int = 0
     frames_tx: int = 0
@@ -87,7 +74,6 @@ class ClientStats:
     #: Exchanges (not attempts) that exhausted retries or ``give_up_s``.
     exchanges_given_up: int = 0
     wire_errors: int = 0
-    tcp_fallbacks: int = 0
     resumptions: int = 0
     resumption_fallbacks: int = 0
 
@@ -102,7 +88,6 @@ class SubjectServiceClient:
         version: Version = Version.V3_0,
         retry: RetryPolicy | None = None,
         seed: int = 0,
-        max_datagram: int = MAX_DATAGRAM,
         phase1_timeout_s: float = DEFAULT_PHASE1_TIMEOUT_S,
         on_frame: Callable[[str, bytes, Addr], None] | None = None,
     ) -> None:
@@ -111,7 +96,6 @@ class SubjectServiceClient:
         live distinguisher experiments capture wire traffic with."""
         self.engine = SubjectEngine(creds, version)
         self.retry = retry if retry is not None else RetryPolicy()
-        self.max_datagram = max_datagram
         self.phase1_timeout_s = phase1_timeout_s
         self.on_frame = on_frame
         self.stats = ClientStats()
@@ -120,9 +104,6 @@ class SubjectServiceClient:
         self._jitter_rng = random.Random((seed & 0xFFFFFFFF) ^ 0x5EED5)
         #: endpoint -> object id discovered there (feeds warm resumption).
         self.object_at: dict[Addr, str] = {}
-        #: Endpoints demoted to the TCP fallback (sticky: an oversized
-        #: frame is a property of the deployment, not of one round).
-        self._tcp_mode: set[Addr] = set()
         self._queues: dict[Addr, asyncio.Queue] = {}
         self._transport: asyncio.DatagramTransport | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -183,36 +164,12 @@ class SubjectServiceClient:
                 break
             self.stats.rounds += 1
             self.engine.tick(self._loop.time())
-
-            udp_targets = [a for a in pending if a not in self._tcp_mode]
-            if udp_targets:
-                raw = self.engine.start_round(group_id).to_bytes()
-                results = await asyncio.gather(
-                    *(self._exchange(a, raw) for a in udp_targets),
-                    return_exceptions=True,
-                )
-                for addr, result in zip(udp_targets, results):
-                    if isinstance(result, OversizedFrame):
-                        self._tcp_mode.add(addr)
-                        self.stats.tcp_fallbacks += 1
-                    elif isinstance(result, BaseException):
-                        raise result
-                    elif result is not None:
-                        self._settle(found, addr, result)
-                pending = [a for a in pending if a not in found]
-
-            tcp_targets = [a for a in pending if a in self._tcp_mode]
-            if tcp_targets:
-                # A fresh round for the stream pass: the UDP pass burned
-                # its QUE1 nonce, and daemons silence duplicates.
-                raw = self.engine.start_round(group_id).to_bytes()
-                results = await asyncio.gather(
-                    *(self._exchange_stream(a, raw) for a in tcp_targets)
-                )
-                for addr, result in zip(tcp_targets, results):
-                    if result is not None:
-                        self._settle(found, addr, result)
-                pending = [a for a in pending if a not in found]
+            raw = self.engine.start_round(group_id).to_bytes()
+            results = await asyncio.gather(*(self._exchange(a, raw) for a in pending))
+            for addr, result in zip(pending, results):
+                if result is not None:
+                    self._settle(found, addr, result)
+            pending = [a for a in pending if a not in found]
         return found
 
     def _settle(
@@ -238,24 +195,17 @@ class SubjectServiceClient:
         rque = self.engine.start_resumption(object_id)
         if rque is None:
             return None
-        raw = rque.to_bytes()
         self.stats.resumptions += 1
-        try:
-            check_datagram(raw, self.max_datagram)
-        except OversizedFrame:
-            # No streamed resumption: RQUE is ~200 B nominal, so this
-            # only fires under absurd budgets; cold fallback is correct.
-            return None
         queue = self._register(addr)
         try:
             return await self._await_reply(
-                queue, addr, raw, Rres,
+                queue, addr, rque.to_bytes(), Rres,
                 lambda m: self.engine.handle_rres(m, object_id),
             )
         finally:
             self._unregister(addr)
 
-    # -- one UDP exchange -----------------------------------------------------------
+    # -- one exchange ---------------------------------------------------------------
 
     async def _exchange(self, addr: Addr, que1_raw: bytes) -> DiscoveredService | None:
         """QUE1 → (RES1 → QUE2 → RES2 | Level 1 PROF) toward one endpoint."""
@@ -263,7 +213,6 @@ class SubjectServiceClient:
         peer_key = f"{addr[0]}:{addr[1]}"
         queue = self._register(addr)
         try:
-            check_datagram(que1_raw, self.max_datagram)
             self._send(addr, que1_raw)
             deadline = self._loop.time() + self.phase1_timeout_s
             while True:
@@ -283,9 +232,8 @@ class SubjectServiceClient:
                     que2 = self.engine.handle_res1(message, peer_key)
                     if que2 is None:
                         return None
-                    raw2 = check_datagram(que2.to_bytes(), self.max_datagram)
                     return await self._await_reply(
-                        queue, addr, raw2, Res2,
+                        queue, addr, que2.to_bytes(), Res2,
                         lambda m: self.engine.handle_res2(m, peer_key),
                     )
                 # Anything else is a stale/duplicated frame from an
@@ -327,73 +275,12 @@ class SubjectServiceClient:
                 if isinstance(message, expect):
                     return handler(message)
                 # e.g. a duplicated RES1 while we wait for RES2: stale.
-            if (
-                attempt >= self.retry.max_retries
-                or self._loop.time() - first_sent >= self.retry.give_up_s
-            ):
+            if self.retry.exhausted(attempt, self._loop.time() - first_sent):
                 self.stats.exchanges_given_up += 1
                 return None
             attempt += 1
             self.stats.retransmissions += 1
             self._send(addr, raw)
-
-    # -- the TCP fallback -----------------------------------------------------------
-
-    async def _exchange_stream(self, addr: Addr, que1_raw: bytes) -> DiscoveredService | None:
-        """The whole exchange over one TCP connection (reliable: no
-        retransmission layer, one overall ``give_up_s`` deadline)."""
-        peer_key = f"tcp:{addr[0]}:{addr[1]}"
-        try:
-            reader, writer = await asyncio.open_connection(*addr)
-        except OSError:
-            return None
-        try:
-            return await asyncio.wait_for(
-                self._stream_dialogue(reader, writer, que1_raw, peer_key),
-                timeout=self.retry.give_up_s,
-            )
-        except asyncio.TimeoutError:
-            self.stats.exchanges_given_up += 1
-            return None
-        except (FramingError, ConnectionError) as exc:
-            self.stats.wire_errors += 1
-            self.engine.record_wire_error(MessageFormatError(str(exc)))
-            return None
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _stream_dialogue(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        que1_raw: bytes,
-        peer_key: str,
-    ) -> DiscoveredService | None:
-        write_stream_frame(writer, que1_raw)
-        await writer.drain()
-        self.stats.frames_tx += 1
-        while True:
-            frame = await read_stream_frame(reader)
-            if frame is None:
-                return None  # daemon closed: silence
-            message = self._parse(frame)
-            if message is None:
-                continue
-            if isinstance(message, Res1Level1):
-                return self.engine.handle_res1_level1(message, peer_key)
-            if isinstance(message, Res1):
-                que2 = self.engine.handle_res1(message, peer_key)
-                if que2 is None:
-                    return None
-                write_stream_frame(writer, que2.to_bytes())
-                await writer.drain()
-                self.stats.frames_tx += 1
-            elif isinstance(message, Res2):
-                return self.engine.handle_res2(message, peer_key)
 
     # -- plumbing -------------------------------------------------------------------
 

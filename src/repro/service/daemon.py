@@ -1,11 +1,12 @@
 """The object service daemon: one IoT device on real sockets.
 
-:class:`ObjectServiceDaemon` binds an asyncio UDP endpoint (and a TCP
-fallback server on the same port) and drives the existing sans-IO
-:class:`~repro.protocol.object.ObjectEngine` — the daemon owns sockets,
-clocks and backpressure; the engine owns every protocol decision.  The
-service path turns on the full recovery stack PR 4 built for the
-simulator, because a real transport *is* the lossy transport:
+:class:`ObjectServiceDaemon` binds an asyncio UDP endpoint and drives
+the existing sans-IO :class:`~repro.protocol.object.ObjectEngine` — the
+daemon owns the socket, clock and backpressure; the engine owns every
+protocol decision, including which handler a flight goes to
+(:meth:`~repro.protocol.object.ObjectEngine.receive`, the router the
+simulator calls too).  The service path turns on the simulator's full
+recovery stack, because a real transport *is* the lossy transport:
 
 * ``resend_cached_res2`` — a retransmitted (byte-identical) QUE2 gets
   the byte-identical cached RES2 back, so a lost RES2 costs one backoff
@@ -43,18 +44,10 @@ from typing import Callable
 from repro.backend.registration import ObjectCredentials
 from repro.backend.updatewire import UpdateMessage, UpdateReceiver, UpdateWireError
 from repro.protocol.errors import MessageFormatError
-from repro.protocol.messages import Que1, Que2, Rque, parse_message
+from repro.protocol.messages import parse_message
 from repro.protocol.object import ObjectEngine
 from repro.protocol.versions import Version
-from repro.service.framing import (
-    MAX_DATAGRAM,
-    FrameKind,
-    FramingError,
-    ack_frame,
-    classify_frame,
-    read_stream_frame,
-    write_stream_frame,
-)
+from repro.service.framing import FrameKind, ack_frame, classify_frame
 
 #: Token-bucket defaults for per-peer load shedding: a peer may burst
 #: this many frames, refilled at ``PEER_REFILL_PER_S`` per second.
@@ -65,9 +58,6 @@ PEER_REFILL_PER_S = 256.0
 #: peer's bucket is evicted, so a spoofed-source flood cannot grow the
 #: daemon's state without bound.
 PEER_BUCKET_LIMIT = 4096
-
-#: Attempts to land UDP and TCP on the same ephemeral port number.
-_PORT_PAIR_ATTEMPTS = 8
 
 
 class _PeerBucket:
@@ -103,7 +93,6 @@ class ObjectServiceDaemon:
         *,
         version: Version = Version.V3_0,
         issue_tickets: bool = True,
-        max_datagram: int = MAX_DATAGRAM,
         peer_burst_limit: int = PEER_BURST_LIMIT,
         peer_refill_per_s: float = PEER_REFILL_PER_S,
         update_receiver: UpdateReceiver | None = None,
@@ -126,7 +115,6 @@ class ObjectServiceDaemon:
         )
         self.host = host
         self._requested_port = port
-        self.max_datagram = max_datagram
         self.peer_burst_limit = peer_burst_limit
         self.peer_refill_per_s = peer_refill_per_s
         self.update_receiver = update_receiver
@@ -136,38 +124,21 @@ class ObjectServiceDaemon:
         self._buckets: OrderedDict[str, _PeerBucket] = OrderedDict()
         self._down = False
         self._udp: asyncio.DatagramTransport | None = None
-        self._tcp: asyncio.base_events.Server | None = None
         self.port: int | None = None
 
     # -- lifecycle ------------------------------------------------------------------
 
     async def start(self) -> "ObjectServiceDaemon":
-        """Bind UDP + TCP on one port; returns self for chaining."""
+        """Bind the UDP port; returns self for chaining."""
         loop = asyncio.get_running_loop()
         if self._clock is None:
             self._clock = loop.time
-        last_error: OSError | None = None
-        for _ in range(_PORT_PAIR_ATTEMPTS):
-            transport, _ = await loop.create_datagram_endpoint(
-                lambda: _DatagramAdapter(self),
-                local_addr=(self.host, self._requested_port),
-            )
-            port = transport.get_extra_info("sockname")[1]
-            try:
-                self._tcp = await asyncio.start_server(
-                    self._serve_stream, self.host, port
-                )
-            except OSError as exc:
-                # The ephemeral UDP port's TCP twin is taken; roll again.
-                transport.close()
-                last_error = exc
-                if self._requested_port != 0:
-                    raise
-                continue
-            self._udp = transport
-            self.port = port
-            return self
-        raise OSError(f"could not pair UDP/TCP ports: {last_error}")
+        self._udp, _ = await loop.create_datagram_endpoint(
+            lambda: _DatagramAdapter(self),
+            local_addr=(self.host, self._requested_port),
+        )
+        self.port = self._udp.get_extra_info("sockname")[1]
+        return self
 
     @property
     def address(self) -> tuple[str, int]:
@@ -179,10 +150,6 @@ class ObjectServiceDaemon:
         if self._udp is not None:
             self._udp.close()
             self._udp = None
-        if self._tcp is not None:
-            self._tcp.close()
-            await self._tcp.wait_closed()
-            self._tcp = None
 
     async def __aenter__(self) -> "ObjectServiceDaemon":
         return await self.start()
@@ -209,7 +176,7 @@ class ObjectServiceDaemon:
     def is_down(self) -> bool:
         return self._down
 
-    # -- shared dispatch ------------------------------------------------------------
+    # -- dispatch -------------------------------------------------------------------
 
     def _admit(self, peer: str) -> bool:
         """Token-bucket admission; shed (silently) over budget."""
@@ -246,8 +213,8 @@ class ObjectServiceDaemon:
     def dispatch(self, data: bytes, peer: str) -> bytes | None:
         """One frame in, at most one frame out (None = silence).
 
-        Shared by the datagram and stream paths; *peer* is the
-        transport-level peer identity the engine keys sessions on.
+        *peer* is the transport-level peer identity the engine keys
+        sessions on.
         """
         if self._down:
             self.stats["frames_dropped_down"] += 1
@@ -276,40 +243,11 @@ class ObjectServiceDaemon:
             self.stats["wire_errors"] += 1
             self.engine.record_wire_error(exc)
             return None
-        if isinstance(message, Que1):
-            reply = self.handle_que1(message, peer)
-        elif isinstance(message, Que2):
-            reply = self.handle_que2(message, peer)
-        elif isinstance(message, Rque):
-            reply = self.handle_rque(message, peer)
-        else:
-            # A subject-bound flight aimed at an object: record, stay
-            # silent (same as the simulator's unknown-handler path).
-            self.stats["wire_errors"] += 1
-            self.engine.record_wire_error(MessageFormatError(
-                f"{type(message).__name__} addressed to an object"
-            ))
-            return None
+        reply = self.engine.receive(message, peer)
         if reply is None:
             return None
         self.stats["frames_out"] += 1
         return reply.to_bytes()
-
-    # The named handlers exist so PROTO-STATE's handler-existence and
-    # response-ordering checks cover daemon dispatch exactly as they
-    # cover the engines (repro.lint.protocol_spec includes this package).
-
-    def handle_que1(self, que1: Que1, peer: str):
-        self.stats["que1"] += 1
-        return self.engine.handle_que1(que1, peer)
-
-    def handle_que2(self, que2: Que2, peer: str):
-        self.stats["que2"] += 1
-        return self.engine.handle_que2(que2, peer)
-
-    def handle_rque(self, rque: Rque, peer: str):
-        self.stats["rque"] += 1
-        return self.engine.handle_rque(rque, peer)
 
     def _dispatch_update(self, data: bytes) -> bytes | None:
         if self.update_receiver is None:
@@ -333,37 +271,6 @@ class ObjectServiceDaemon:
         self.stats["updates_rejected"] += 1
         return None
 
-    # -- stream fallback ------------------------------------------------------------
-
-    async def _serve_stream(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """One TCP connection = one peer; frames answered in order."""
-        peername = writer.get_extra_info("peername")
-        peer = f"tcp:{peername[0]}:{peername[1]}"
-        try:
-            while True:
-                try:
-                    frame = await read_stream_frame(reader)
-                except FramingError as exc:
-                    self.stats["wire_errors"] += 1
-                    self.engine.record_wire_error(
-                        MessageFormatError(str(exc))
-                    )
-                    break
-                if frame is None:
-                    break
-                reply = self.dispatch(frame, peer)
-                if reply is not None:
-                    write_stream_frame(writer, reply)
-                    await writer.drain()
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
 
 class _DatagramAdapter(asyncio.DatagramProtocol):
     """Glue between the UDP transport and the daemon's dispatch."""
@@ -376,19 +283,9 @@ class _DatagramAdapter(asyncio.DatagramProtocol):
         self.transport = transport
 
     def datagram_received(self, data: bytes, addr) -> None:
-        daemon = self.daemon
-        peer = f"{addr[0]}:{addr[1]}"
-        reply = daemon.dispatch(data, peer)
-        if reply is None or self.transport is None:
-            return
-        if len(reply) > daemon.max_datagram:
-            # The answer cannot ride UDP; the peer must redo the
-            # exchange over the TCP fallback.  Silence (plus a counter)
-            # is the only safe signal — an explicit "too big" notice
-            # would be a new unauthenticated oracle.
-            daemon.stats["replies_oversized"] += 1
-            return
-        self.transport.sendto(reply, addr)
+        reply = self.daemon.dispatch(data, f"{addr[0]}:{addr[1]}")
+        if reply is not None and self.transport is not None:
+            self.transport.sendto(reply, addr)
 
     def error_received(self, exc: Exception) -> None:
         self.daemon.stats["socket_errors"] += 1

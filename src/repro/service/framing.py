@@ -1,4 +1,4 @@
-"""Transport framing for the live service path.
+"""Datagram framing for the live service path.
 
 Every Argus wire message already starts with a self-describing type tag
 (:mod:`repro.protocol.messages`: 0x01–0x07; :mod:`repro.backend.updatewire`:
@@ -7,12 +7,11 @@ extra header — the bytes on the socket are byte-identical to the bytes
 the simulator accounts, which is what makes the §IX-A parity check in
 ``benchmarks/bench_service.py`` exact rather than approximate.
 
-Frames that exceed the datagram budget (``max_datagram``) fall back to
-TCP, where the stream is chopped into ``u32 length || frame`` records —
-:func:`read_stream_frame` / :func:`write_stream_frame`.  The budget is a
-deployment knob, not a protocol constant: loopback happily carries
-64 KB datagrams, constrained radio links do not, and the tests shrink it
-to force the fallback path.
+Argus is a few short datagram flights, never a stream: the largest
+frame the engines build (a QUE2 at strength 256) is about 1.2 KB.  The
+one frame whose size is not fixed by the protocol is a backend push
+bundle, which grows with the churn burst it carries; the pusher refuses
+one larger than :data:`MAX_DATAGRAM` rather than split it.
 
 One extra frame type lives here: the update-plane ACK
 (:data:`TYPE_UPDATE_ACK`), the tiny ``tag || u64 sequence`` receipt a
@@ -24,7 +23,6 @@ PROTO-STATE spec does not know it.
 
 from __future__ import annotations
 
-import asyncio
 import enum
 import struct
 
@@ -44,13 +42,9 @@ from repro.protocol.messages import (
     TYPE_RRES,
 )
 
-#: Default datagram budget: loopback/LAN-safe, far above every nominal
-#: Argus frame (the largest, QUE2, is ~2 KB serialized).
+#: Largest frame sent as one datagram: loopback/LAN-safe, far above
+#: every Argus protocol frame.
 MAX_DATAGRAM = 60_000
-
-#: Hard cap a stream reader will accept for one record — bounds memory
-#: against a hostile or corrupted length prefix.
-MAX_STREAM_FRAME = 1 << 20
 
 #: Update-plane delivery receipt: ``0x2F || u64 sequence``.
 TYPE_UPDATE_ACK = 0x2F
@@ -61,21 +55,11 @@ _PROTOCOL_TAGS = frozenset({
 })
 _UPDATE_TAGS = frozenset({TYPE_REVOKE, TYPE_REKEY, TYPE_BUNDLE, TYPE_LKH_REKEY})
 
-_LEN = struct.Struct(">I")
 _ACK = struct.Struct(">BQ")
 
 
 class FramingError(Exception):
-    """A stream record violated the framing contract."""
-
-
-class OversizedFrame(Exception):
-    """A frame too large for the datagram budget; use the TCP fallback."""
-
-    def __init__(self, size: int, budget: int) -> None:
-        super().__init__(f"frame of {size} B exceeds datagram budget {budget} B")
-        self.size = size
-        self.budget = budget
+    """A frame violated the framing contract."""
 
 
 class FrameKind(enum.Enum):
@@ -101,13 +85,6 @@ def classify_frame(data: bytes) -> FrameKind:
     return FrameKind.UNKNOWN
 
 
-def check_datagram(data: bytes, max_datagram: int = MAX_DATAGRAM) -> bytes:
-    """Pass *data* through, or raise :class:`OversizedFrame`."""
-    if len(data) > max_datagram:
-        raise OversizedFrame(len(data), max_datagram)
-    return data
-
-
 def ack_frame(sequence: int) -> bytes:
     """The receipt for one applied update push."""
     return _ACK.pack(TYPE_UPDATE_ACK, sequence)
@@ -118,27 +95,3 @@ def parse_ack(data: bytes) -> int:
     if len(data) != _ACK.size or data[0] != TYPE_UPDATE_ACK:
         raise FramingError("not an update ACK")
     return _ACK.unpack(data)[1]
-
-
-def write_stream_frame(writer: asyncio.StreamWriter, frame: bytes) -> None:
-    """Append one length-prefixed record to a TCP stream."""
-    if len(frame) > MAX_STREAM_FRAME:
-        raise FramingError(f"stream frame of {len(frame)} B exceeds cap")
-    writer.write(_LEN.pack(len(frame)) + frame)
-
-
-async def read_stream_frame(reader: asyncio.StreamReader) -> bytes | None:
-    """Read one record; None on clean EOF at a record boundary."""
-    try:
-        header = await reader.readexactly(_LEN.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise FramingError("truncated stream frame header") from exc
-    (length,) = _LEN.unpack(header)
-    if length > MAX_STREAM_FRAME:
-        raise FramingError(f"stream frame of {length} B exceeds cap")
-    try:
-        return await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise FramingError("truncated stream frame body") from exc

@@ -38,13 +38,7 @@ from typing import Callable, Sequence
 from repro.backend.updatewire import UpdateMessage
 from repro.net.faults import FaultSchedule
 from repro.net.run import RetryPolicy
-from repro.service.framing import (
-    MAX_DATAGRAM,
-    FramingError,
-    OversizedFrame,
-    check_datagram,
-    parse_ack,
-)
+from repro.service.framing import MAX_DATAGRAM, FramingError, parse_ack
 
 Addr = tuple[str, int]
 
@@ -66,7 +60,6 @@ class UpdateStreamPusher:
         *,
         retry: RetryPolicy = DEFAULT_UPDATE_RETRY,
         seed: int = 0,
-        max_datagram: int = MAX_DATAGRAM,
         schedule: FaultSchedule | None = None,
         now_fn: Callable[[], float] | None = None,
     ) -> None:
@@ -74,7 +67,6 @@ class UpdateStreamPusher:
         (:meth:`ServiceChaosHarness._now <repro.service.chaos.ServiceChaosHarness>`);
         without them the backend is always up."""
         self.retry = retry
-        self.max_datagram = max_datagram
         self.schedule = schedule
         self._now_fn = now_fn
         self._jitter_rng = random.Random((seed & 0xFFFFFFFF) ^ 0x5EED5)
@@ -121,9 +113,9 @@ class UpdateStreamPusher:
             self.stats["pushes_deferred"] += 1
             await asyncio.sleep(_OUTAGE_POLL_S)
         raw = message.to_bytes()
-        try:
-            check_datagram(raw, self.max_datagram)
-        except OversizedFrame:
+        if len(raw) > MAX_DATAGRAM:
+            # A bundle grows with the churn burst it carries; one that
+            # cannot ride a single datagram is refused, never split.
             self.stats["pushes_oversized"] += 1
             return False
         queue: asyncio.Queue = asyncio.Queue()
@@ -163,10 +155,7 @@ class UpdateStreamPusher:
                     return True
                 # An ACK for an older sequence (late duplicate): stale.
                 self.stats["acks_stale"] += 1
-            if (
-                attempt >= self.retry.max_retries
-                or self._loop.time() - first_sent >= self.retry.give_up_s
-            ):
+            if self.retry.exhausted(attempt, self._loop.time() - first_sent):
                 self.stats["pushes_given_up"] += 1
                 return False
             attempt += 1

@@ -5,7 +5,7 @@ import pytest
 from repro.attacks.channel import run_exchange
 from repro.attacks.distinguisher import classify_subject, subject_advantage
 from repro.attacks.replay import replay_attack
-from repro.protocol import object as object_mod
+from repro.protocol import errors as errors_mod
 from repro.protocol.errors import MessageFormatError
 from repro.protocol.object import ObjectEngine
 from repro.protocol.subject import SubjectEngine
@@ -32,7 +32,7 @@ class TestReplay:
 
     def test_verdicts_survive_an_error_log_trim(self, staff, media, monkeypatch):
         """A full error log is trimmed mid-attack; the verdicts hold."""
-        monkeypatch.setattr(object_mod, "ERROR_LOG_LIMIT", 2)
+        monkeypatch.setattr(errors_mod, "ERROR_LOG_LIMIT", 2)
         target = ObjectEngine(media)
         capture = run_exchange(SubjectEngine(staff), target)
         for _ in range(2):

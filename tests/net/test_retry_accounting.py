@@ -115,3 +115,23 @@ class TestSeededJitter:
         assert one.retransmissions == two.retransmissions
         assert one.exchanges_given_up == two.exchanges_given_up
         assert one.messages_lost == two.messages_lost
+
+
+class TestExhausted:
+    """The one give-up rule the simulator, client and pusher share."""
+
+    POLICY = RetryPolicy(max_retries=3, give_up_s=10.0)
+
+    def test_fresh_exchange_may_retry(self):
+        assert not self.POLICY.exhausted(0, 0.0)
+
+    def test_retry_budget_boundary(self):
+        assert not self.POLICY.exhausted(2, 9.0)
+        assert self.POLICY.exhausted(3, 0.0)
+
+    def test_deadline_boundary_is_inclusive(self):
+        assert not self.POLICY.exhausted(0, 9.999)
+        assert self.POLICY.exhausted(0, 10.0)
+
+    def test_zero_retries_gives_up_after_the_first_send(self):
+        assert RetryPolicy(max_retries=0).exhausted(0, 0.0)

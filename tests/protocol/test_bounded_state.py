@@ -1,10 +1,10 @@
-"""Object-engine state that hostile or long-running traffic could grow.
+"""Engine state that hostile or long-running traffic could grow.
 
 The pending table holds half-open handshakes only: a QUE2 closes its
 session (and releases the ephemeral key) whatever the outcome, and TTL
 expiry reads only the front of the table.  The peer-identity map and
-the error log are capped by module constants.  Every check here counts;
-none is timed.
+both engines' error logs are capped by module constants.  Every check
+here counts; none is timed.
 """
 
 import weakref
@@ -21,11 +21,12 @@ from hypothesis.stateful import (
 
 from repro.access import CommandClient, CommandHandler
 from repro.crypto.keypool import ecdh_keypair
-from repro.crypto.primitives import fresh_nonce
+from repro.crypto.primitives import MAC_LEN, fresh_nonce
+from repro.protocol import errors as errors_mod
 from repro.protocol import object as object_mod
 from repro.protocol.discovery import run_round
 from repro.protocol.errors import MessageFormatError
-from repro.protocol.messages import Que1
+from repro.protocol.messages import Que1, Res2
 from repro.protocol.object import ObjectEngine, _ObjectSession
 from repro.protocol.subject import SubjectEngine
 
@@ -208,15 +209,15 @@ class TestPeerIdentityBound:
 class TestErrorLogBound:
     def test_log_stays_under_the_cap_and_counts_everything(self, media):
         engine = ObjectEngine(media)
-        for i in range(10 * object_mod.ERROR_LOG_LIMIT):
+        for i in range(10 * errors_mod.ERROR_LOG_LIMIT):
             engine.record_wire_error(MessageFormatError(f"junk {i}"))
-        assert len(engine.errors) <= object_mod.ERROR_LOG_LIMIT
-        assert engine.errors_recorded == 10 * object_mod.ERROR_LOG_LIMIT
+        assert len(engine.errors) <= errors_mod.ERROR_LOG_LIMIT
+        assert engine.errors_recorded == 10 * errors_mod.ERROR_LOG_LIMIT
         assert str(engine.errors[-1]) == f"junk {engine.errors_recorded - 1}"
 
     @pytest.mark.parametrize("limit", [1, 2, 5])
     def test_errors_since_survives_a_trim(self, media, monkeypatch, limit):
-        monkeypatch.setattr(object_mod, "ERROR_LOG_LIMIT", limit)
+        monkeypatch.setattr(errors_mod, "ERROR_LOG_LIMIT", limit)
         engine = ObjectEngine(media)
         for i in range(limit):
             engine.record_wire_error(MessageFormatError(f"old {i}"))
@@ -224,3 +225,17 @@ class TestErrorLogBound:
         engine.record_wire_error(MessageFormatError("new"))
         assert [str(e) for e in engine.errors_since(mark)] == ["new"]
         assert engine.errors_since(engine.errors_recorded) == []
+
+    def test_subject_log_stays_bounded_after_junk_replies(self, staff):
+        engine = SubjectEngine(staff)
+        junk = Res2(ciphertext=b"\x00" * 64, mac_o=b"\x00" * MAC_LEN)
+        replies = 3 * errors_mod.ERROR_LOG_LIMIT + 1
+        peak = 0
+        for i in range(replies):
+            assert engine.handle_res2(junk, f"stranger-{i}") is None
+            peak = max(peak, len(engine.errors))
+        assert peak <= errors_mod.ERROR_LOG_LIMIT
+        assert engine.errors_recorded == replies
+        assert str(engine.errors[-1]) == (
+            f"RES2 without open session from stranger-{replies - 1}"
+        )

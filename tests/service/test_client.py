@@ -1,4 +1,4 @@
-"""SubjectServiceClient against live daemons: cold/warm/TCP paths."""
+"""SubjectServiceClient against live daemons: cold and warm paths."""
 
 import asyncio
 import random
@@ -90,27 +90,6 @@ class TestWarmResumption:
             assert client.stats.rounds == rounds_after_cold
             for addr in warm:
                 assert warm[addr].object_id == cold[addr].object_id
-
-        asyncio.run(scenario())
-
-
-class TestTcpFallback:
-    def test_oversized_budget_demotes_to_stream(self, level2_fleet):
-        subject, objects, _ = level2_fleet
-
-        async def scenario():
-            async with AsyncExitStack() as stack:
-                _, endpoints = await _fleet_daemons(stack, objects[:2])
-                # 64 B cannot carry even a QUE1: every endpoint demotes
-                # to the stream transport and completes there.
-                async with make_client(subject, max_datagram=64) as client:
-                    found = await client.discover(
-                        endpoints, rounds=3, allow_resume=False
-                    )
-            assert len(found) == 2
-            assert client.stats.tcp_fallbacks == 2
-            for service in found.values():
-                assert service.functions == ("play", "cast")
 
         asyncio.run(scenario())
 

@@ -1,28 +1,21 @@
 """ObjectServiceDaemon dispatch: graceful degradation, update plane.
 
-Most tests drive :meth:`ObjectServiceDaemon.dispatch` directly with a
+The tests drive :meth:`ObjectServiceDaemon.dispatch` directly with a
 manual clock — the dispatch contract (one frame in, at most one frame
 out, silence for every failure) is transport-independent, so no sockets
-are needed to pin it down.  The socket-only behaviors (oversized-reply
-suppression, the TCP stream loop) get real loopback endpoints.
+are needed to pin it down.
 """
-
-import asyncio
 
 import pytest
 
 from repro.backend.updatewire import UpdatePublisher, UpdateReceiver
 from repro.experiments.common import make_level_fleet
 from repro.protocol.messages import Rres, parse_message
-from repro.protocol.object import ERROR_LOG_LIMIT
+from repro.protocol.errors import ERROR_LOG_LIMIT
 from repro.protocol.subject import SubjectEngine
 from repro.protocol.versions import Version
 from repro.service.daemon import PEER_BUCKET_LIMIT, ObjectServiceDaemon
-from repro.service.framing import (
-    ack_frame,
-    read_stream_frame,
-    write_stream_frame,
-)
+from repro.service.framing import ack_frame
 
 
 class ManualClock:
@@ -252,81 +245,3 @@ class TestUpdateDispatch:
         assert daemon.dispatch(flipped, "backend") is None
         assert daemon.stats["updates_applied"] == 0
         assert receiver.last_sequence == 0
-
-
-class _CollectingClient(asyncio.DatagramProtocol):
-    def __init__(self):
-        self.received: list[bytes] = []
-
-    def datagram_received(self, data: bytes, addr) -> None:
-        self.received.append(data)
-
-
-class TestSocketPaths:
-    def test_oversized_reply_is_suppressed(self, level2_fleet):
-        subject, objects, _ = level2_fleet
-
-        async def scenario():
-            # A RES1 is far larger than 64 B: the daemon must not try to
-            # squeeze it out (or worse, announce the problem) — silence.
-            async with ObjectServiceDaemon(objects[0], max_datagram=64) as daemon:
-                loop = asyncio.get_running_loop()
-                transport, protocol = await loop.create_datagram_endpoint(
-                    _CollectingClient, local_addr=("127.0.0.1", 0)
-                )
-                try:
-                    engine = SubjectEngine(subject, Version.V3_0)
-                    transport.sendto(engine.start_round().to_bytes(), daemon.address)
-                    await asyncio.sleep(0.2)
-                    assert protocol.received == []
-                    assert daemon.stats["replies_oversized"] == 1
-                finally:
-                    transport.close()
-
-        asyncio.run(scenario())
-
-    def test_stream_handshake_end_to_end(self, level2_fleet):
-        subject, objects, _ = level2_fleet
-
-        async def scenario():
-            async with ObjectServiceDaemon(objects[0]) as daemon:
-                reader, writer = await asyncio.open_connection(*daemon.address)
-                try:
-                    engine = SubjectEngine(subject, Version.V3_0)
-                    write_stream_frame(writer, engine.start_round().to_bytes())
-                    await writer.drain()
-                    res1 = parse_message(
-                        await asyncio.wait_for(read_stream_frame(reader), 5.0)
-                    )
-                    que2 = engine.handle_res1(res1, "o")
-                    write_stream_frame(writer, que2.to_bytes())
-                    await writer.drain()
-                    res2 = parse_message(
-                        await asyncio.wait_for(read_stream_frame(reader), 5.0)
-                    )
-                    service = engine.handle_res2(res2, "o")
-                    assert service is not None
-                    assert service.object_id == objects[0].object_id
-                finally:
-                    writer.close()
-                    await writer.wait_closed()
-
-        asyncio.run(scenario())
-
-    def test_hostile_stream_length_closes_connection(self, level2_fleet):
-        _, objects, _ = level2_fleet
-
-        async def scenario():
-            async with ObjectServiceDaemon(objects[0]) as daemon:
-                reader, writer = await asyncio.open_connection(*daemon.address)
-                try:
-                    writer.write((1 << 31).to_bytes(4, "big"))
-                    await writer.drain()
-                    # Daemon hangs up without a byte of explanation.
-                    assert await asyncio.wait_for(reader.read(), 5.0) == b""
-                    assert daemon.stats["wire_errors"] == 1
-                finally:
-                    writer.close()
-                    await writer.wait_closed()
-
-        asyncio.run(scenario())

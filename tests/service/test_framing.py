@@ -1,7 +1,4 @@
-"""Transport framing: tag routing, datagram budget, stream records."""
-
-import asyncio
-import struct
+"""Datagram framing: tag routing and update-plane ACKs."""
 
 import pytest
 
@@ -16,17 +13,12 @@ from repro.protocol.messages import (
     TYPE_RRES,
 )
 from repro.service.framing import (
-    MAX_STREAM_FRAME,
     TYPE_UPDATE_ACK,
     FrameKind,
     FramingError,
-    OversizedFrame,
     ack_frame,
-    check_datagram,
     classify_frame,
     parse_ack,
-    read_stream_frame,
-    write_stream_frame,
 )
 
 
@@ -48,17 +40,6 @@ class TestClassify:
         assert classify_frame(b"\xff\x00") is FrameKind.UNKNOWN
 
 
-class TestDatagramBudget:
-    def test_passthrough(self):
-        assert check_datagram(b"abc", 3) == b"abc"
-
-    def test_oversized_carries_sizes(self):
-        with pytest.raises(OversizedFrame) as excinfo:
-            check_datagram(b"abcd", 3)
-        assert excinfo.value.size == 4
-        assert excinfo.value.budget == 3
-
-
 class TestAck:
     def test_roundtrip(self):
         assert parse_ack(ack_frame(0)) == 0
@@ -72,64 +53,3 @@ class TestAck:
         wrong_tag = bytes([TYPE_QUE1]) + ack_frame(1)[1:]
         with pytest.raises(FramingError):
             parse_ack(wrong_tag)
-
-
-class _SinkWriter:
-    """Just enough of a StreamWriter to collect written bytes."""
-
-    def __init__(self):
-        self.data = bytearray()
-
-    def write(self, chunk: bytes) -> None:
-        self.data += chunk
-
-
-def _reader_with(data: bytes) -> asyncio.StreamReader:
-    reader = asyncio.StreamReader()
-    reader.feed_data(data)
-    reader.feed_eof()
-    return reader
-
-
-class TestStreamFraming:
-    def test_roundtrip_two_frames_then_clean_eof(self):
-        async def scenario():
-            writer = _SinkWriter()
-            write_stream_frame(writer, b"first")
-            write_stream_frame(writer, b"second record")
-            reader = _reader_with(bytes(writer.data))
-            assert await read_stream_frame(reader) == b"first"
-            assert await read_stream_frame(reader) == b"second record"
-            assert await read_stream_frame(reader) is None
-
-        asyncio.run(scenario())
-
-    def test_truncated_header_raises(self):
-        async def scenario():
-            reader = _reader_with(b"\x00\x00")  # 2 of 4 length bytes
-            with pytest.raises(FramingError, match="header"):
-                await read_stream_frame(reader)
-
-        asyncio.run(scenario())
-
-    def test_truncated_body_raises(self):
-        async def scenario():
-            reader = _reader_with(struct.pack(">I", 10) + b"short")
-            with pytest.raises(FramingError, match="body"):
-                await read_stream_frame(reader)
-
-        asyncio.run(scenario())
-
-    def test_hostile_length_prefix_bounded(self):
-        async def scenario():
-            reader = _reader_with(struct.pack(">I", MAX_STREAM_FRAME + 1))
-            with pytest.raises(FramingError, match="exceeds cap"):
-                await read_stream_frame(reader)
-
-        asyncio.run(scenario())
-
-    def test_write_enforces_cap(self):
-        writer = _SinkWriter()
-        with pytest.raises(FramingError, match="exceeds cap"):
-            write_stream_frame(writer, b"\x00" * (MAX_STREAM_FRAME + 1))
-        assert not writer.data  # nothing partial hit the wire

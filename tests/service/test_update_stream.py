@@ -17,6 +17,7 @@ from repro.net.faults import (
     burst_loss_schedule,
 )
 from repro.net.run import RetryPolicy
+from repro.service import update_stream
 from repro.service.chaos import ChaosProxy
 from repro.service.daemon import ObjectServiceDaemon
 from repro.service.update_stream import UpdateStreamPusher
@@ -80,6 +81,34 @@ class TestInOrderStream:
         assert stats["updates_applied"] == 1
         assert stats["updates_reacked"] == 1
         assert len(receiver.errors) == 0
+
+
+class TestOversizedPush:
+    def test_push_past_one_datagram_is_refused_unsent(self, monkeypatch):
+        """A bundle grows with its churn burst; one that cannot ride a
+        single datagram is refused, never split or streamed."""
+        subject, objects, backend = make_level_fleet(1, level=2)
+        receiver = _receiver_for(objects[0], backend)
+        message = UpdatePublisher(backend.root_key).revoke_subject(
+            objects[0].object_id, "intruder"
+        )
+        monkeypatch.setattr(
+            update_stream, "MAX_DATAGRAM", len(message.to_bytes()) - 1
+        )
+
+        async def scenario():
+            async with ObjectServiceDaemon(
+                objects[0], update_receiver=receiver
+            ) as daemon:
+                async with UpdateStreamPusher(retry=PUSH_RETRY) as pusher:
+                    delivered = await pusher.push(daemon.address, message)
+                return delivered, dict(daemon.stats), dict(pusher.stats)
+
+        delivered, stats, push_stats = asyncio.run(scenario())
+        assert delivered is False
+        assert push_stats == {"pushes_oversized": 1}
+        assert stats.get("frames_in", 0) == 0
+        assert receiver.last_sequence == 0
 
 
 class TestLkhStreamUnderChaos:
