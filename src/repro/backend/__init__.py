@@ -19,7 +19,6 @@ from repro.backend.registration import (
     ObjectVariant,
     SubjectCredentials,
 )
-from repro.backend.sharding import ConsistentHashDirectory, ShardedBackendDatabase
 from repro.backend.updates import ChurnEngine, UpdateReport
 from repro.backend.updatewire import UpdateBatcher
 
@@ -27,7 +26,6 @@ __all__ = [
     "Backend",
     "BackendDatabase",
     "ChurnEngine",
-    "ConsistentHashDirectory",
     "DatabaseError",
     "GroupManager",
     "KeyUpdate",
@@ -40,7 +38,6 @@ __all__ = [
     "RekeyCost",
     "RekeyReport",
     "SecretGroup",
-    "ShardedBackendDatabase",
     "SubjectCredentials",
     "SubjectRecord",
     "UpdateBatcher",

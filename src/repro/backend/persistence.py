@@ -43,19 +43,10 @@ class PersistenceError(Exception):
 
 def export_backend(backend: Backend) -> dict[str, Any]:
     """Snapshot the entire backend as a JSON-serializable dict."""
-    from repro.backend.sharding import ShardedBackendDatabase
-
-    sharding = None
-    if isinstance(backend.database, ShardedBackendDatabase):
-        sharding = {
-            "shards": len(backend.database.shards),
-            "routing_attribute": backend.database.routing_attribute,
-        }
     return {
         "format": FORMAT_VERSION,
         "strength": backend.strength,
         "serial": backend._serial,
-        "sharding": sharding,
         "rekey_strategy": backend.groups.strategy,
         "lkh_trees": {
             group_id: tree.to_dict()
@@ -180,16 +171,10 @@ def import_backend(snapshot: dict[str, Any]) -> Backend:
 
     from repro.backend.database import BackendDatabase
     from repro.backend.groups import GroupManager
-    from repro.backend.sharding import ShardedBackendDatabase
 
-    sharding = snapshot.get("sharding")
-    if sharding:
-        backend.database = ShardedBackendDatabase(
-            shards=sharding["shards"],
-            routing_attribute=sharding["routing_attribute"],
-        )
-    else:
-        backend.database = BackendDatabase()
+    # Older snapshots carry a "sharding" block; every record is in the
+    # snapshot itself, so they all load into the one table.
+    backend.database = BackendDatabase()
     for entry in snapshot["subjects"]:
         backend.database.add_subject(SubjectRecord(
             subject_id=entry["subject_id"],

@@ -109,22 +109,14 @@ class Backend:
         self,
         strength: int = DEFAULT_STRENGTH,
         regions: tuple[str, ...] = ("campus",),
-        shards: int | None = None,
         rekey_strategy: str = "lkh",
     ) -> None:
-        """*shards* > 0 puts the record tables behind a consistent-hash
-        shard directory (:class:`~repro.backend.sharding.ShardedBackendDatabase`);
-        ``None`` keeps the single-table store. *rekey_strategy* picks how
-        secret groups rekey on churn: ``"lkh"`` (O(log gamma) messages,
-        default) or ``"flat"`` (the paper's literal gamma - 1 fan-out).
+        """*rekey_strategy* picks how secret groups rekey on churn:
+        ``"lkh"`` (O(log gamma) messages, default) or ``"flat"`` (the
+        paper's literal gamma - 1 fan-out).
         """
         self.strength = strength
-        if shards:
-            from repro.backend.sharding import ShardedBackendDatabase
-
-            self.database = ShardedBackendDatabase(shards=shards)
-        else:
-            self.database = BackendDatabase()
+        self.database = BackendDatabase()
         self.groups = GroupManager(strategy=rekey_strategy)
         self.root_key = generate_signing_key(strength)
         self._serial = 0

@@ -32,7 +32,6 @@ from repro.experiments import (
     radio_comparison,
     resumption,
     security_report,
-    throughput,
     timing_attack,
     scalability_sweep,
     version_overhead,
@@ -85,8 +84,6 @@ ALL = MappingProxyType({
     "fault_recovery": lambda: fault_recovery.run().render(),
     # §VII executed end to end as one scorecard
     "security_report": lambda: security_report.run().render(),
-    # extension: aggregate handshakes/sec, calibrated lanes over the sequential path
-    "throughput": lambda: throughput.run(smoke=True).render(),
 })
 
 

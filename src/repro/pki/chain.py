@@ -1,4 +1,4 @@
-"""Chain verification with intermediate, leaf, and whole-chain caching.
+"""Chain verification with intermediate and whole-chain caching.
 
 In steady state a device keeps seeing the same intermediate-CA
 certificates (there are only a handful of admin servers), so caching
@@ -6,18 +6,15 @@ verified intermediates means each handshake costs exactly **one**
 certificate verification — which is how the paper's per-discovery op
 counts (1 sign + 3 verifies on each side, §IX-B) come out.
 
-Two further caches take the *warm* path below even that:
+A returning peer presents the same chain bytes every round, so a
+**chain-bytes cache** in :meth:`ChainVerifier.verify_chain_bytes` takes
+the *warm* path below even that: the exact wire bytes of a fully
+verified chain map straight to the parsed leaf, skipping
+deserialization and the leaf's signature check.
 
-* a **leaf result cache**: a returning subject presents the same leaf
-  certificate every round, so its signature check is remembered, keyed
-  by (leaf bytes, issuer key);
-* a **chain-bytes cache** in :meth:`ChainVerifier.verify_chain_bytes`:
-  the exact wire bytes of a fully verified chain map straight to the
-  parsed leaf, skipping deserialization too.
-
-Both caches remember only *successes*, re-check the chain's validity
+The cache remembers only *successes*, re-checks the chain's validity
 window on every hit (an expired certificate never rides a stale cache
-entry), and never see revocation — the engines check the revocation
+entry), and never sees revocation — the engines check the revocation
 list *after* chain verification, so a revoked-but-cached subject is
 still rejected. Hits meter the logical ``ecdsa_verify`` (one per warm
 handshake, exactly the §IX-B count) plus ``cert_verify_cached``.
@@ -42,7 +39,6 @@ class CacheInfo(NamedTuple):
     hits: int
     misses: int
     maxsize: int
-    leaf_size: int
     chain_size: int
     intermediate_size: int
 
@@ -67,8 +63,6 @@ class ChainVerifier:
         #: Verified intermediate certs, keyed by their serialized bytes;
         #: value is the intermediate's public key for child verification.
         self._verified: OrderedDict[bytes, VerifyingKey] = OrderedDict()
-        #: Verified leaf signatures: (leaf bytes, issuer key bytes) -> None.
-        self._leaf_ok: OrderedDict[tuple[bytes, bytes], None] = OrderedDict()
         #: Fully verified chains: wire bytes -> (leaf, window_lo, window_hi).
         self._chain_ok: OrderedDict[bytes, tuple[Certificate, int, int]] = OrderedDict()
         self._hits = 0
@@ -77,16 +71,14 @@ class ChainVerifier:
     def cache_info(self) -> CacheInfo:
         """Hit/miss counters and current cache sizes.
 
-        A *hit* is any lookup served from the chain-bytes or leaf cache;
-        a *miss* is a verification that had to run real signature
-        checks. Intermediate-ladder reuse is deliberately not counted —
+        A *hit* is any lookup served from the chain-bytes cache; a
+        *miss* is a verification that had to run real signature checks. Intermediate-ladder reuse is deliberately not counted —
         it is the steady state, not a signal.
         """
         return CacheInfo(
             hits=self._hits,
             misses=self._misses,
             maxsize=self.maxsize,
-            leaf_size=len(self._leaf_ok),
             chain_size=len(self._chain_ok),
             intermediate_size=len(self._verified),
         )
@@ -94,7 +86,6 @@ class ChainVerifier:
     def clear_caches(self) -> None:
         """Forget every cached verification (tests and cold benchmarks)."""
         self._verified.clear()
-        self._leaf_ok.clear()
         self._chain_ok.clear()
         self._hits = 0
         self._misses = 0
@@ -143,18 +134,8 @@ class ChainVerifier:
             if leaf.issuer_id != certs[1].subject_id:
                 return None
 
-        leaf_key = (leaf.to_bytes(), issuer_key.to_bytes())
-        if leaf_key in self._leaf_ok:
-            self._leaf_ok.move_to_end(leaf_key)
-            self._hits += 1
-            meter.record("ecdsa_verify", leaf.strength)
-            meter.record("cert_verify_cached", leaf.strength)
-            return leaf
         self._misses += 1
-        if not leaf.verify_signature(issuer_key):
-            return None
-        self._remember(self._leaf_ok, leaf_key, None)
-        return leaf
+        return leaf if leaf.verify_signature(issuer_key) else None
 
     def _issuer_key(
         self, intermediates: tuple[Certificate, ...], now: int

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.backend import Backend, ChurnEngine
+from repro.backend import Backend, BackendDatabase, ChurnEngine
 from repro.backend.persistence import (
     PersistenceError,
     export_backend,
@@ -85,6 +85,23 @@ class TestRoundtrip:
         churn.remove_subject("alice")
         restored = import_backend(export_backend(live_backend))
         assert "alice" in restored.issued_objects["m1"].revoked_subjects
+
+    def test_legacy_sharding_block_loads_into_one_table(self, live_backend):
+        """Snapshots written by the removed sharded backend carry a
+        "sharding" block; every record still loads into the one table."""
+        snapshot = export_backend(live_backend)
+        assert "sharding" not in snapshot
+        snapshot["sharding"] = {"shards": 4, "routing_attribute": "department"}
+        restored = import_backend(snapshot)
+        assert type(restored.database) is BackendDatabase
+        assert set(restored.database.subjects) == {"alice", "sam"}
+        assert set(restored.database.objects) == {"m1", "k1", "t1"}
+        assert set(restored.database.policies) == {"p1"}
+        result = discover(
+            restored.issued_subjects["sam"], list(restored.issued_objects.values())
+        )
+        levels = {s.object_id: s.level_seen for s in result.services}
+        assert levels == {"t1": 1, "m1": 2, "k1": 3}
 
     def test_bad_format_rejected(self):
         with pytest.raises(PersistenceError):

@@ -86,17 +86,6 @@ class TestCaching:
 
 
 class TestLeafAndChainCaches:
-    def test_leaf_hit_still_meters_logical_verify(self, pki):
-        """A returning leaf costs a lookup, but §IX-B still counts 1 verify
-        — plus the cert_verify_cached marker distinguishing warm from cold."""
-        root, _, _, chain = pki
-        verifier = ChainVerifier("root", root.public_key)
-        verifier.verify(chain)
-        with meter.metered() as tally:
-            assert verifier.verify(chain) is not None
-        assert tally.total("ecdsa_verify") == 1
-        assert tally.total("cert_verify_cached") == 1
-
     def test_cold_verify_has_no_cached_marker(self, pki):
         root, _, _, chain = pki
         verifier = ChainVerifier("root", root.public_key)
@@ -179,15 +168,14 @@ class TestLRUBoundsAndCacheInfo:
         root, _, _, chain = pki
         verifier = ChainVerifier("root", root.public_key)
         assert verifier.cache_info().hits == 0
-        verifier.verify(chain)          # cold: miss
-        verifier.verify(chain)          # leaf cache: hit
         data = chain.to_bytes()
-        verifier.verify_chain_bytes(data)  # leaf cache again: hit
+        verifier.verify_chain_bytes(data)  # cold: miss
         verifier.verify_chain_bytes(data)  # chain-bytes cache: hit
+        verifier.verify_chain_bytes(data)  # hit again
         info = verifier.cache_info()
-        assert (info.hits, info.misses) == (3, 1)
+        assert (info.hits, info.misses) == (2, 1)
         assert info.maxsize == verifier.maxsize
-        assert info.leaf_size == 1 and info.chain_size == 1
+        assert info.chain_size == 1
         assert info.intermediate_size == 1
 
     def test_caches_never_exceed_maxsize(self, pki):
@@ -198,23 +186,25 @@ class TestLRUBoundsAndCacheInfo:
             chain = _subject_chain(pki, f"churn-{i}", 100 + i)
             assert verifier.verify_chain_bytes(chain.to_bytes()) is not None
         info = verifier.cache_info()
-        assert info.leaf_size <= 4 and info.chain_size <= 4
+        assert info.chain_size <= 4
         assert info.intermediate_size <= 4
         assert info.misses == 10
 
     def test_lru_evicts_oldest_first(self, pki):
         root, *_ = pki
         verifier = ChainVerifier("root", root.public_key, maxsize=2)
-        chains = [_subject_chain(pki, f"lru-{i}", 200 + i) for i in range(3)]
-        verifier.verify(chains[0])
-        verifier.verify(chains[1])
-        verifier.verify(chains[0])  # hit: refreshes leaf 0's LRU slot
-        verifier.verify(chains[2])  # miss: evicts leaf 1, not leaf 0
+        data = [
+            _subject_chain(pki, f"lru-{i}", 200 + i).to_bytes() for i in range(3)
+        ]
+        verifier.verify_chain_bytes(data[0])
+        verifier.verify_chain_bytes(data[1])
+        verifier.verify_chain_bytes(data[0])  # hit: refreshes chain 0's LRU slot
+        verifier.verify_chain_bytes(data[2])  # miss: evicts chain 1, not chain 0
         misses = verifier.cache_info().misses
         with meter.metered() as tally:
-            verifier.verify(chains[0])  # survived the eviction
+            verifier.verify_chain_bytes(data[0])  # survived the eviction
         assert tally.total("cert_verify_cached") == 1
-        verifier.verify(chains[1])  # evicted: full re-verify
+        verifier.verify_chain_bytes(data[1])  # evicted: full re-verify
         assert verifier.cache_info().misses == misses + 1
 
     def test_maxsize_below_one_rejected(self, pki):
