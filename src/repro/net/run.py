@@ -144,7 +144,10 @@ def simulate_discovery(
     miss objects whose frames were dropped; ``max_rounds > 1`` makes the
     subject re-broadcast a fresh QUE1 every ``round_interval_s`` until
     everything is found or the rounds are exhausted — the natural
-    recovery strategy for a protocol without per-message ACKs.
+    recovery strategy for a protocol without per-message ACKs. A
+    re-broadcast round handshakes only with the objects not found yet:
+    found objects still answer the QUE1, but the subject drops their
+    RES1 unverified, so ``timeline.services`` holds each object once.
 
     ``retry`` adds the finer-grained inner loop: per-object QUE2/RQUE
     retransmission timers (see :class:`RetryPolicy`), so one lost frame
@@ -258,7 +261,11 @@ def simulate_discovery(
         if len(timeline.completion) >= expected:
             return
         pending_retry.clear()  # a fresh QUE1 supersedes in-flight QUE2s
-        que1 = subject_engine.start_round(group_id)
+        # Seek only the objects not found yet.  The engine's view, not
+        # ``timeline.completion``: completion is stamped when the subject's
+        # CPU finishes a RES2, which can be after this round starts.
+        settled = {service.object_id for service in subject_engine.discovered}
+        que1 = subject_engine.start_round(group_id, settled=settled)
         net.broadcast(SUBJECT, que1)
         if round_index + 1 < max_rounds:
             sim.schedule(

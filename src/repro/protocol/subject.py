@@ -9,6 +9,7 @@ uses K3").
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass
 
 from repro.backend.registration import SubjectCredentials
@@ -97,6 +98,8 @@ class SubjectEngine(ErrorLog):
         self._sessions: dict[str, _SubjectSession] = {}
         self._group_id: str = "coverup"
         self._group_key: bytes = creds.coverup_key
+        #: Peers this round does not handshake with (see start_round).
+        self._settled: Container[str] = ()
         self.discovered: list[DiscoveredService] = []
         #: Completed handshakes, keyed by object id, for the access layer.
         self.established: dict[str, EstablishedSession] = {}
@@ -110,13 +113,19 @@ class SubjectEngine(ErrorLog):
 
     # -- round control -----------------------------------------------------------
 
-    def start_round(self, group_id: str | None = None) -> Que1:
+    def start_round(
+        self, group_id: str | None = None, settled: Container[str] = ()
+    ) -> Que1:
         """Begin a discovery round; returns the QUE1 to broadcast.
 
         ``group_id`` picks which Level 3 key this round uses (§VI-C: one
         group key at a time). ``None`` uses a real group key if the
         subject has exactly one, otherwise the cover-up key — so every
         subject, member or not, emits identical-looking traffic (v3.0).
+
+        ``settled`` holds the peers a re-broadcast round no longer seeks:
+        their RES1s to this round's QUE1 are dropped without any crypto
+        or error record.  The default seeks every peer.
         """
         if group_id is None:
             if len(self.creds.group_keys) == 1:
@@ -131,6 +140,7 @@ class SubjectEngine(ErrorLog):
             except KeyError:
                 raise SessionError(f"subject holds no key for group {group_id!r}") from None
         self._group_id, self._group_key = group_id, key
+        self._settled = settled
         self._r_s = fresh_nonce()
         self._sessions.clear()
         que1 = Que1(self._r_s)
@@ -141,6 +151,8 @@ class SubjectEngine(ErrorLog):
 
     def handle_res1_level1(self, res1: Res1Level1, peer_id: str) -> DiscoveredService | None:
         """A plaintext Level 1 profile: verify the admin signature."""
+        if peer_id in self._settled:
+            return None
         try:
             profile = Profile.from_bytes(res1.profile_bytes)
         except ProfileError as exc:
@@ -155,6 +167,8 @@ class SubjectEngine(ErrorLog):
 
     def handle_res1(self, res1: Res1, peer_id: str) -> Que2 | None:
         """A Level 2/3 opening: authenticate it and answer with QUE2."""
+        if peer_id in self._settled:
+            return None
         if not self._r_s:
             self._record(SessionError("RES1 before any round started"))
             return None

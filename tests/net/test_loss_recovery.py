@@ -1,14 +1,16 @@
 """Failure injection: lossy links and multi-round recovery."""
 
-import pytest
+from collections import defaultdict
 
 from repro.experiments.common import make_level_fleet
+from repro.net.faults import burst_loss_schedule
 from repro.net.node import GroundNetwork, SimNode
 from repro.net.radio import LinkModel
-from repro.net.run import simulate_discovery
+from repro.net.run import RetryPolicy, simulate_discovery
 from repro.net.simulator import Simulator
 from repro.net.topology import SUBJECT, star
 from repro.crypto.costmodel import NEXUS6, RASPBERRY_PI3
+from repro.protocol.messages import Que2
 
 LOSSY = LinkModel(loss_rate=0.25)
 VERY_LOSSY = LinkModel(loss_rate=0.5)
@@ -98,3 +100,38 @@ class TestDiscoveryUnderLoss:
             max_rounds=8, round_interval_s=1.0,
         ).total_time
         assert lossy > clean
+
+
+class TestRebroadcastSeeksOnlyUnfound:
+    """A re-broadcast round re-handshakes only objects not found yet."""
+
+    def _lossy_run(self):
+        subject, objects, _ = make_level_fleet(12, 2)
+        que2s: dict[str, list[tuple[float, bytes]]] = defaultdict(list)
+
+        def tap(t, src, dst, message):
+            if src == SUBJECT and isinstance(message, Que2):
+                que2s[dst].append((t, message.to_bytes()))
+
+        timeline = simulate_discovery(
+            subject, objects, seed=4, retry=RetryPolicy(), max_rounds=12,
+            faults=burst_loss_schedule(0.2, seed=4), deadline_s=30.0,
+            on_delivery=tap,
+        )
+        assert len(timeline.completion) == 12
+        return timeline, que2s
+
+    def test_no_fresh_que2_after_an_object_is_found(self):
+        """A QUE2 reaching a found object can only be a late copy of one
+        it had already received: no new handshake leaves the subject."""
+        timeline, que2s = self._lossy_run()
+        for object_id, frames in que2s.items():
+            found_at = timeline.completion[object_id]
+            before = {raw for t, raw in frames if t <= found_at}
+            fresh = [t for t, raw in frames if t > found_at and raw not in before]
+            assert fresh == [], (object_id, found_at, fresh)
+
+    def test_each_object_discovered_once(self):
+        timeline, _ = self._lossy_run()
+        found = sorted(service.object_id for service in timeline.services)
+        assert found == sorted(timeline.completion)

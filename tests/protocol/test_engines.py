@@ -3,6 +3,7 @@
 import pytest
 
 from repro.attacks.channel import run_exchange
+from repro.crypto.meter import metered
 from repro.protocol.errors import (
     AuthenticationError,
     FreshnessError,
@@ -206,3 +207,39 @@ class TestLevel3Flow:
     def test_unknown_group_id_rejected(self, subject_engine):
         with pytest.raises(SessionError):
             subject_engine.start_round("no-such-group")
+
+
+class TestSettledPeers:
+    """A re-broadcast round that no longer seeks a peer drops its RES1."""
+
+    def test_settled_res1_costs_no_crypto_and_no_error(
+        self, subject_engine, media_engine
+    ):
+        que1 = subject_engine.start_round(settled={"media-1"})
+        res1 = media_engine.handle_que1(que1, subject_engine.creds.subject_id)
+        with metered() as tally:
+            assert subject_engine.handle_res1(res1, "media-1") is None
+        assert tally.snapshot() == {}
+        assert subject_engine.errors == []
+
+    def test_settled_level1_res1_is_not_discovered_again(
+        self, subject_engine, thermo_engine
+    ):
+        que1 = subject_engine.start_round(settled={"thermo-1"})
+        res1 = thermo_engine.handle_que1(que1, subject_engine.creds.subject_id)
+        with metered() as tally:
+            assert subject_engine.handle_res1_level1(res1, "thermo-1") is None
+        assert tally.snapshot() == {}
+        assert subject_engine.discovered == []
+        assert subject_engine.errors == []
+
+    def test_other_peers_still_handshake(self, subject_engine, media_engine):
+        que1 = subject_engine.start_round(settled={"someone-else"})
+        res1 = media_engine.handle_que1(que1, subject_engine.creds.subject_id)
+        assert isinstance(subject_engine.handle_res1(res1, "media-1"), Que2)
+
+    def test_next_round_seeks_every_peer_again(self, subject_engine, media_engine):
+        subject_engine.start_round(settled={"media-1"})
+        que1 = subject_engine.start_round()
+        res1 = media_engine.handle_que1(que1, subject_engine.creds.subject_id)
+        assert isinstance(subject_engine.handle_res1(res1, "media-1"), Que2)
