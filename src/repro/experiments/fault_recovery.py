@@ -8,7 +8,7 @@ objects.  This experiment sweeps a fault-type x severity matrix through
 :mod:`repro.net.faults` and reports discovery completion and recovery
 cost for each cell, then isolates the recovery stack's contribution
 under the headline condition (20% Gilbert–Elliott burst loss): per-
-exchange retransmission (:class:`repro.net.run.RetryPolicy`) plus round
+exchange retransmission (:class:`repro.net.retry.RetryPolicy`) plus round
 re-broadcast vs the no-recovery baseline.
 
 A third section checks that recovery never buys robustness with
@@ -167,32 +167,38 @@ def indistinguishability_under_faults(seed: int = 7) -> dict:
         seed=seed,
     )
 
-    def captured_fleet(level: int) -> list[CapturedExchange]:
-        subject_creds, object_creds, _ = make_level_fleet(6, level=level)
-        captures: list[CapturedExchange] = []
+    def captured_fleet(level: int):
+        subject_creds, object_creds, _ = make_level_fleet(GATE_FLEET, level=level)
+        que2: list[CapturedExchange] = []
+        res2: list[CapturedExchange] = []
+        # The objects a QUE2 reached and a RES2 came from.
+        que2_objects: set[str] = set()
+        res2_objects: set[str] = set()
 
-        def on_delivery(_t: float, _src: str, _dst: str, message) -> None:
+        def on_delivery(_t: float, src: str, dst: str, message) -> None:
             if isinstance(message, Que2):
-                captures.append(CapturedExchange(que2=message))
+                que2.append(CapturedExchange(que2=message))
+                que2_objects.add(dst)
             elif isinstance(message, Res2):
-                captures.append(CapturedExchange(res2=message))
+                res2.append(CapturedExchange(res2=message))
+                res2_objects.add(src)
 
         simulate_discovery(
             subject_creds, object_creds, faults=schedule, retry=RECOVERY,
             max_rounds=RECOVERY_ROUNDS, deadline_s=DEADLINE_S, seed=seed,
             on_delivery=on_delivery,
         )
-        return captures
+        counts = {"que2": len(que2), "res2": len(res2),
+                  "que2_objects": len(que2_objects), "res2_objects": len(res2_objects)}
+        return que2, res2, counts
 
-    level3 = captured_fleet(3)
-    level2 = captured_fleet(2)
-    que2_l3 = [c for c in level3 if c.que2 is not None]
-    que2_l2 = [c for c in level2 if c.que2 is not None]
-    res2_l3 = [c for c in level3 if c.res2 is not None]
-    res2_l2 = [c for c in level2 if c.res2 is not None]
+    que2_l3, res2_l3, level3 = captured_fleet(3)
+    que2_l2, res2_l2, level2 = captured_fleet(2)
     return {
+        "fleet": GATE_FLEET,
         "que2_captured": len(que2_l3) + len(que2_l2),
         "res2_captured": len(res2_l3) + len(res2_l2),
+        "per_population": {"level3": level3, "level2": level2},
         "advantage": subject_advantage(que2_l3, que2_l2),
         # v3.0 pads each object's RES2 to that *object's* constant length
         # (§VI-B), so the invariant is zero spread within a population —

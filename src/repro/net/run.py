@@ -5,11 +5,13 @@ protocol engines the in-memory path uses, broadcasts QUE1 at t=0, and
 records when each object's discovery completes on the subject. Sorted
 completion times are exactly the paper's "discovery time cost vs number
 of objects" curves.
+
+Lost QUE2s are re-sent by :class:`~repro.net.retry.Retransmissions`, the
+table the live client shares (``RetryPolicy`` is re-exported from here).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 import networkx as nx
@@ -19,64 +21,13 @@ from repro.crypto.costmodel import NEXUS6, RASPBERRY_PI3, DeviceProfile
 from repro.net.faults import FaultLayer, FaultSchedule
 from repro.net.node import GroundNetwork, SimNode, SizeMode, TimingMode
 from repro.net.radio import DEFAULT_WIFI, LinkModel
+from repro.net.retry import Retransmissions, RetryPolicy
 from repro.net.simulator import Simulator
 from repro.net.topology import SUBJECT, hop_distance, star
 from repro.protocol.messages import Que2, Res1Level1, Res2, Rque
 from repro.protocol.object import ObjectEngine
 from repro.protocol.subject import SubjectEngine
 from repro.protocol.versions import Version
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Per-exchange retransmission knobs (docs/robustness.md).
-
-    Once the subject has addressed a specific object (a unicast QUE2 or
-    RQUE), losing the request or its response no longer costs a whole
-    ``round_interval_s``: a timer re-sends the *same* frame with
-    exponential backoff + jitter until the exchange completes, the retry
-    budget runs out, or ``give_up_s`` elapses. The round re-broadcast in
-    :func:`simulate_discovery` remains the outer fallback for objects
-    that never answered QUE1 at all.
-    """
-
-    #: Retransmissions per exchange after the initial send.
-    max_retries: int = 3
-    #: Timer for the first retransmission (covers one round trip plus
-    #: object compute under DEFAULT_WIFI).
-    base_timeout_s: float = 0.35
-    #: Multiplier applied per attempt (classic exponential backoff).
-    backoff: float = 2.0
-    #: Uniform jitter added on top: timeout *= 1 + U(0,1)*fraction.
-    #: Desynchronizes retransmissions that would otherwise collide.
-    jitter_fraction: float = 0.1
-    #: Absolute per-exchange deadline; after this the object is left to
-    #: the next round (or lost).
-    give_up_s: float = 10.0
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.base_timeout_s <= 0:
-            raise ValueError("base_timeout_s must be positive")
-        if self.backoff < 1.0:
-            raise ValueError("backoff must be >= 1.0")
-        if not 0.0 <= self.jitter_fraction <= 1.0:
-            raise ValueError("jitter_fraction must be in [0, 1]")
-
-    def timeout_s(self, attempt: int, rng: random.Random) -> float:
-        """Timer for retransmission number *attempt* (0-based)."""
-        base = self.base_timeout_s * self.backoff**attempt
-        return base * (1.0 + self.jitter_fraction * rng.random())
-
-    def exhausted(self, attempt: int, elapsed_s: float) -> bool:
-        """True once an exchange should give up instead of re-sending.
-
-        *attempt* counts the retransmissions already made; *elapsed_s*
-        is the time since the first send.  Either budget running out
-        ends the exchange.
-        """
-        return attempt >= self.max_retries or elapsed_s >= self.give_up_s
 
 
 @dataclass
@@ -184,74 +135,41 @@ def simulate_discovery(
     for creds in object_creds:
         timeline.hops[creds.object_id] = hop_distance(graph, creds.object_id)
 
+    # The subject's in-flight QUE2s; a completed object settles its entry
+    # and a new round clears the table (a fresh QUE1 supersedes them).
+    table = Retransmissions(retry or RetryPolicy(), seed)
+
     # Completion detection: a discovery completes when the subject node
     # finishes processing the message that yields a DiscoveredService —
     # a Level 1 RES1 or a RES2.
     seen_count = {"n": 0}
 
     def on_processed(t: float, node_name: str, message) -> None:
-        if node_name != SUBJECT:
-            return
-        if isinstance(message, (Res1Level1, Res2)):
-            services = subject_engine.discovered
-            while seen_count["n"] < len(services):
-                service = services[seen_count["n"]]
+        if node_name == SUBJECT and isinstance(message, (Res1Level1, Res2)):
+            for service in subject_engine.discovered[seen_count["n"]:]:
                 timeline.completion.setdefault(service.object_id, t)
-                seen_count["n"] += 1
+                table.settle(service.object_id)
+            seen_count["n"] = len(subject_engine.discovered)
 
     net.on_processed = on_processed
     if on_delivery is not None:
         net.on_delivery = on_delivery
 
-    #: dst -> retry state; a new round clears it (stale QUE2s from the
-    #: previous round must stop re-sending once the state they'd land in
-    #: has been superseded by a fresh QUE1).
-    pending_retry: dict[str, dict] = {}
-
     if retry is not None:
-        # Per-object retransmission: every unicast QUE2/RQUE the subject
-        # sends arms a backoff timer; if the exchange hasn't completed
-        # when it fires, the *same* frame is re-sent (so the object's
-        # idempotent duplicate handling sees byte-identical bytes). The
-        # timers draw jitter from their own RNG so enabling retries
-        # never perturbs the link model's random stream.
-        retry_rng = random.Random((seed & 0xFFFFFFFF) ^ 0x5EED5)
-
-        def arm(dst: str, message, state: dict) -> None:
-            timeout = retry.timeout_s(state["attempt"], retry_rng)
-
-            def fire() -> None:
-                current = pending_retry.get(dst)
-                if current is not state or current["msg"] is not message:
-                    return  # superseded by a newer exchange
-                if dst in timeline.completion:
-                    del pending_retry[dst]
-                    return
-                if retry.exhausted(state["attempt"], sim.now - state["first_sent"]):
-                    # Count the *exchange*, once — duplicated frames can
-                    # arm several timers for one state, and each would
-                    # otherwise land here and inflate the stat.
-                    if not state.get("gave_up"):
-                        state["gave_up"] = True
-                        timeline.exchanges_given_up += 1
-                    del pending_retry[dst]  # give up; outer round takes over
-                    return
-                state["attempt"] += 1
+        # Each QUE2/RQUE sent schedules a check at its deadline; a check
+        # re-sends the *same* frame (the object's idempotent duplicate
+        # handling sees byte-identical bytes) back through on_sent.
+        def check() -> None:
+            resends, gave_up = table.due(sim.now)
+            for dst, message in resends:
                 timeline.retransmissions += 1
                 net.unicast(SUBJECT, dst, message)
-
-            sim.schedule(timeout, fire)
+            timeline.exchanges_given_up += len(gave_up)
 
         def on_sent(t: float, src: str, dst: str, message) -> None:
-            if src != SUBJECT or not isinstance(message, (Que2, Rque)):
-                return
-            state = pending_retry.get(dst)
-            if state is not None and state["msg"] is message:
-                arm(dst, message, state)  # our own retransmission: re-arm
-            else:
-                state = {"msg": message, "attempt": 0, "first_sent": t}
-                pending_retry[dst] = state
-                arm(dst, message, state)
+            if src == SUBJECT and isinstance(message, (Que2, Rque)):
+                # Exact: at() adds (t + timeout) - t to t, which rounds back to t + timeout.
+                sim.at(table.sent(dst, message, t), check)
 
         net.on_sent = on_sent
 
@@ -260,7 +178,7 @@ def simulate_discovery(
     def launch_round(round_index: int) -> None:
         if len(timeline.completion) >= expected:
             return
-        pending_retry.clear()  # a fresh QUE1 supersedes in-flight QUE2s
+        table.clear()
         # Seek only the objects not found yet.  The engine's view, not
         # ``timeline.completion``: completion is stamped when the subject's
         # CPU finishes a RES2, which can be after this round starts.

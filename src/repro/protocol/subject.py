@@ -96,6 +96,8 @@ class SubjectEngine(ErrorLog):
         self._r_s: bytes = b""
         self._que1_bytes: bytes = b""
         self._sessions: dict[str, _SubjectSession] = {}
+        #: Peers whose Level 1 RES1 this round already verified.
+        self._level1_peers: set[str] = set()
         self._group_id: str = "coverup"
         self._group_key: bytes = creds.coverup_key
         #: Peers this round does not handshake with (see start_round).
@@ -143,6 +145,7 @@ class SubjectEngine(ErrorLog):
         self._settled = settled
         self._r_s = fresh_nonce()
         self._sessions.clear()
+        self._level1_peers.clear()
         que1 = Que1(self._r_s)
         self._que1_bytes = que1.to_bytes()
         return que1
@@ -153,6 +156,9 @@ class SubjectEngine(ErrorLog):
         """A plaintext Level 1 profile: verify the admin signature."""
         if peer_id in self._settled:
             return None
+        if peer_id in self._level1_peers:
+            self._record(SessionError(f"duplicate RES1 from {peer_id}"))
+            return None
         try:
             profile = Profile.from_bytes(res1.profile_bytes)
         except ProfileError as exc:
@@ -162,6 +168,7 @@ class SubjectEngine(ErrorLog):
             self._record(AuthenticationError(f"bad Level 1 PROF from {peer_id}"))
             return None
         service = DiscoveredService(profile.entity_id, 1, profile)
+        self._level1_peers.add(peer_id)
         self.discovered.append(service)
         return service
 
@@ -442,6 +449,7 @@ class SubjectEngine(ErrorLog):
         over after the restart.
         """
         self._sessions.clear()
+        self._level1_peers.clear()
         self._pending_resume.clear()
         self.established.clear()
         self._r_s = b""

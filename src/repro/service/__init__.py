@@ -1,30 +1,22 @@
-"""Real-transport async service path (ROADMAP item 1).
+"""Real-transport async service path: the same engines on UDP sockets.
 
 The protocol engines are sans-IO (:mod:`repro.protocol.object` /
-:mod:`repro.protocol.subject`); everything that has run through them so
-far — unit tests, the attack harness, the discrete-event simulator —
-shares one in-process wire.  This package puts the *same* engines on
-real sockets:
+:mod:`repro.protocol.subject`); the simulator drives them in-process,
+and this package puts the *same* engines on real sockets:
 
-* :mod:`repro.service.framing` — datagram framing shared by every
-  endpoint (UDP carries one self-tagged frame per datagram, no extra
-  header: every Argus flight fits one datagram);
-* :mod:`repro.service.daemon` — :class:`ObjectServiceDaemon`, an
-  asyncio UDP object daemon that answers the full
-  QUE1→RES1→QUE2→RES2 and RQUE→RRES flights and applies backend update
-  pushes (revocations, ``TYPE_BUNDLE``, ``TYPE_LKH_REKEY``);
+* :mod:`repro.service.framing` — one self-tagged frame per datagram;
+* :mod:`repro.service.daemon` — :class:`ObjectServiceDaemon`, the
+  object side, including backend update pushes;
 * :mod:`repro.service.client` — :class:`SubjectServiceClient`, the
-  async subject SDK reusing :class:`repro.net.run.RetryPolicy`
-  semantics (exponential backoff + jitter from an injected RNG,
-  bounded give-up counted once per exchange) over real transports;
+  async subject SDK;
 * :mod:`repro.service.update_stream` — :class:`UpdateStreamPusher`,
-  the backend-side stop-and-wait push channel with ACKs and
-  outage buffering, so LKH rekey broadcasts survive lost/reordered
-  delivery;
-* :mod:`repro.service.chaos` — :class:`ChaosProxy` and
-  :class:`ChaosController`, the socket-level chaos harness replaying
-  the deterministic :class:`repro.net.faults.FaultSchedule` vocabulary
-  against live loopback sockets.
+  the backend's stop-and-wait push channel;
+* :mod:`repro.service.requester` — the socket base the client and the
+  pusher share, re-sending requests through the simulator's
+  :class:`~repro.net.retry.Retransmissions` table;
+* :mod:`repro.service.chaos` — :class:`ChaosProxy` and friends, the
+  simulator's :class:`~repro.net.faults.FaultSchedule` replayed against
+  live loopback sockets.
 
 docs/service.md covers the daemon lifecycle, client timeout model and
 chaos-proxy usage; docs/robustness.md has the simulator-vs-live fault

@@ -69,7 +69,7 @@ class ChaosController:
         self._handles.clear()
 
 
-class ChaosProxy:
+class ChaosProxy(asyncio.DatagramProtocol):
     """One lossy hop: clients ↔ proxy ↔ one daemon.
 
     Each client address gets its own connected relay socket toward the
@@ -112,7 +112,7 @@ class ChaosProxy:
     async def start(self) -> "ChaosProxy":
         loop = asyncio.get_running_loop()
         self._listen, _ = await loop.create_datagram_endpoint(
-            lambda: _ProxyFace(self), local_addr=(self.host, 0)
+            lambda: self, local_addr=(self.host, 0)
         )
         self.port = self._listen.get_extra_info("sockname")[1]
         return self
@@ -133,7 +133,10 @@ class ChaosProxy:
 
     # -- the faulty path -------------------------------------------------------------
 
-    def _from_client(self, data: bytes, client: Addr) -> None:
+    def datagram_received(self, data: bytes, addr) -> None:
+        """A client's frame, on the client-facing socket."""
+        client = (addr[0], addr[1])
+        self.ensure_relay(client)
         self._roll(data, self.client_name, self.node_name, "c2o",
                    lambda frame: self._to_upstream(frame, client))
 
@@ -223,18 +226,6 @@ class _PendingRelay:
 
     def close(self) -> None:
         pass
-
-
-class _ProxyFace(asyncio.DatagramProtocol):
-    """The client-facing socket of a :class:`ChaosProxy`."""
-
-    def __init__(self, proxy: ChaosProxy) -> None:
-        self.proxy = proxy
-
-    def datagram_received(self, data: bytes, addr) -> None:
-        client = (addr[0], addr[1])
-        self.proxy.ensure_relay(client)
-        self.proxy._from_client(data, client)
 
 
 class _RelayFace(asyncio.DatagramProtocol):

@@ -82,7 +82,7 @@ class _PeerBucket:
         return self.tokens + (now - self.last) * refill_per_s >= capacity
 
 
-class ObjectServiceDaemon:
+class ObjectServiceDaemon(asyncio.DatagramProtocol):
     """Serve one object's discovery protocol over loopback/LAN sockets."""
 
     def __init__(
@@ -134,8 +134,7 @@ class ObjectServiceDaemon:
         if self._clock is None:
             self._clock = loop.time
         self._udp, _ = await loop.create_datagram_endpoint(
-            lambda: _DatagramAdapter(self),
-            local_addr=(self.host, self._requested_port),
+            lambda: self, local_addr=(self.host, self._requested_port)
         )
         self.port = self._udp.get_extra_info("sockname")[1]
         return self
@@ -156,6 +155,17 @@ class ObjectServiceDaemon:
 
     async def __aexit__(self, *exc_info) -> None:
         await self.close()
+
+    def connection_made(self, transport) -> None:
+        self._udp = transport
+
+    def datagram_received(self, data: bytes, addr) -> None:
+        reply = self.dispatch(data, f"{addr[0]}:{addr[1]}")
+        if reply is not None and self._udp is not None:
+            self._udp.sendto(reply, addr)
+
+    def error_received(self, exc: Exception) -> None:
+        self.stats["socket_errors"] += 1
 
     # -- fault injection hooks (the live CRASH fault) -------------------------------
 
@@ -270,22 +280,3 @@ class ObjectServiceDaemon:
             return ack_frame(message.sequence)
         self.stats["updates_rejected"] += 1
         return None
-
-
-class _DatagramAdapter(asyncio.DatagramProtocol):
-    """Glue between the UDP transport and the daemon's dispatch."""
-
-    def __init__(self, daemon: ObjectServiceDaemon) -> None:
-        self.daemon = daemon
-        self.transport: asyncio.DatagramTransport | None = None
-
-    def connection_made(self, transport) -> None:
-        self.transport = transport
-
-    def datagram_received(self, data: bytes, addr) -> None:
-        reply = self.daemon.dispatch(data, f"{addr[0]}:{addr[1]}")
-        if reply is not None and self.transport is not None:
-            self.transport.sendto(reply, addr)
-
-    def error_received(self, exc: Exception) -> None:
-        self.daemon.stats["socket_errors"] += 1

@@ -1,9 +1,8 @@
 """Backend → daemon update pushes over the live transport.
 
-ROADMAP item 2's remainder: revocations, ECIES rekeys, ``TYPE_BUNDLE``
-bundles and ``TYPE_LKH_REKEY`` broadcast streams
-(:mod:`repro.backend.updatewire`) already have a signed wire format;
-this module gives them delivery semantics on a lossy socket path.
+Revocations, ECIES rekeys, ``TYPE_BUNDLE`` bundles and
+``TYPE_LKH_REKEY`` broadcast streams (:mod:`repro.backend.updatewire`)
+have a signed wire format; this module delivers them over lossy UDP.
 
 The one constraint that shapes everything here is the receiver's
 strictly-increasing sequence discipline: once a daemon has applied
@@ -11,9 +10,10 @@ sequence *n*, anything ≤ *n* is rejected as stale.  A pusher that blasts
 a burst and retries stragglers would therefore permanently strand an
 earlier update behind a later one the network happened to deliver
 first.  So :class:`UpdateStreamPusher` is **stop-and-wait**: one push in
-flight per recipient, byte-identical retransmission with the standard
-:class:`~repro.net.run.RetryPolicy` backoff, advance only on the
-daemon's ACK (:func:`~repro.service.framing.ack_frame`).  Two failure
+flight per recipient, re-sent byte-identically by the same
+:class:`~repro.net.retry.Retransmissions` table the discovery client
+uses, and one future per push, resolved by the daemon's ACK
+(:func:`~repro.service.framing.ack_frame`) or by a give-up.  Two failure
 modes fall out for free:
 
 * a lost *push* is re-sent until the daemon ACKs;
@@ -31,16 +31,14 @@ the schedule says the plane is healthy again.
 from __future__ import annotations
 
 import asyncio
-import random
 from collections import Counter
 from typing import Callable, Sequence
 
 from repro.backend.updatewire import UpdateMessage
 from repro.net.faults import FaultSchedule
-from repro.net.run import RetryPolicy
+from repro.net.retry import RetryPolicy
 from repro.service.framing import MAX_DATAGRAM, FramingError, parse_ack
-
-Addr = tuple[str, int]
+from repro.service.requester import Addr, Requester
 
 #: Updates cross an admin link, not a constrained radio: retry harder
 #: and wait longer than the discovery-path defaults before giving up.
@@ -52,7 +50,7 @@ DEFAULT_UPDATE_RETRY = RetryPolicy(
 _OUTAGE_POLL_S = 0.02
 
 
-class UpdateStreamPusher:
+class UpdateStreamPusher(Requester):
     """The backend's side of the live update plane (stop-and-wait)."""
 
     def __init__(
@@ -66,34 +64,10 @@ class UpdateStreamPusher:
         """``schedule`` + ``now_fn`` attach the harness's outage windows
         (:meth:`ServiceChaosHarness._now <repro.service.chaos.ServiceChaosHarness>`);
         without them the backend is always up."""
-        self.retry = retry
+        super().__init__(retry, seed)
         self.schedule = schedule
         self._now_fn = now_fn
-        self._jitter_rng = random.Random((seed & 0xFFFFFFFF) ^ 0x5EED5)
         self.stats: Counter = Counter()
-        self._queues: dict[Addr, asyncio.Queue] = {}
-        self._transport: asyncio.DatagramTransport | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-
-    # -- lifecycle ------------------------------------------------------------------
-
-    async def start(self) -> "UpdateStreamPusher":
-        self._loop = asyncio.get_running_loop()
-        self._transport, _ = await self._loop.create_datagram_endpoint(
-            lambda: _AckMailbox(self), local_addr=("127.0.0.1", 0)
-        )
-        return self
-
-    async def close(self) -> None:
-        if self._transport is not None:
-            self._transport.close()
-            self._transport = None
-
-    async def __aenter__(self) -> "UpdateStreamPusher":
-        return await self.start()
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.close()
 
     # -- pushing --------------------------------------------------------------------
 
@@ -118,49 +92,16 @@ class UpdateStreamPusher:
             # cannot ride a single datagram is refused, never split.
             self.stats["pushes_oversized"] += 1
             return False
-        queue: asyncio.Queue = asyncio.Queue()
-        self._queues[addr] = queue
-        try:
-            return await self._send_until_acked(addr, raw, message.sequence, queue)
-        finally:
-            self._queues.pop(addr, None)
-
-    async def _send_until_acked(
-        self, addr: Addr, raw: bytes, sequence: int, queue: asyncio.Queue
-    ) -> bool:
-        assert self._loop is not None and self._transport is not None
-        first_sent = self._loop.time()
-        attempt = 0
-        self._transport.sendto(raw, addr)
+        assert addr not in self._awaiting, "one push in flight per recipient"
+        entry = self._awaiting[addr] = (message.sequence, self._loop.create_future())
+        self._request(addr, raw)
         self.stats["pushes_sent"] += 1
-        while True:
-            deadline = self._loop.time() + self.retry.timeout_s(
-                attempt, self._jitter_rng
-            )
-            while True:
-                remaining = deadline - self._loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    frame = await asyncio.wait_for(queue.get(), remaining)
-                except asyncio.TimeoutError:
-                    break
-                try:
-                    acked = parse_ack(frame)
-                except FramingError:
-                    self.stats["acks_malformed"] += 1
-                    continue
-                if acked == sequence:
-                    self.stats["pushes_acked"] += 1
-                    return True
-                # An ACK for an older sequence (late duplicate): stale.
-                self.stats["acks_stale"] += 1
-            if self.retry.exhausted(attempt, self._loop.time() - first_sent):
-                self.stats["pushes_given_up"] += 1
-                return False
-            attempt += 1
-            self.stats["pushes_retransmitted"] += 1
-            self._transport.sendto(raw, addr)
+        try:
+            return await entry[1]
+        finally:
+            if self._awaiting.get(addr) is entry:  # cancelled in flight
+                del self._awaiting[addr]
+                self.table.settle(addr)
 
     async def push_all(self, addr: Addr, messages: Sequence[UpdateMessage]) -> int:
         """Deliver a stream in publish order; returns how many ACKed.
@@ -176,20 +117,35 @@ class UpdateStreamPusher:
             delivered += 1
         return delivered
 
-    def _deliver(self, data: bytes, addr: Addr) -> None:
-        queue = self._queues.get(addr)
-        if queue is None:
+    def datagram_received(self, data: bytes, addr) -> None:
+        addr = (addr[0], addr[1])
+        entry = self._awaiting.get(addr)
+        if entry is None:
             self.stats["acks_unrouted"] += 1
             return
-        queue.put_nowait(data)
-
-
-class _AckMailbox(asyncio.DatagramProtocol):
-    def __init__(self, pusher: UpdateStreamPusher) -> None:
-        self.pusher = pusher
-
-    def datagram_received(self, data: bytes, addr) -> None:
-        self.pusher._deliver(data, (addr[0], addr[1]))
+        try:
+            acked = parse_ack(data)
+        except FramingError:
+            self.stats["acks_malformed"] += 1
+            return
+        if acked != entry[0]:
+            # An ACK for an older sequence (late duplicate): stale.
+            self.stats["acks_stale"] += 1
+            return
+        self.stats["pushes_acked"] += 1
+        self._finish(addr, True)
 
     def error_received(self, exc: Exception) -> None:
-        self.pusher.stats["socket_errors"] += 1
+        self.stats["socket_errors"] += 1
+
+    def _finish(self, addr: Addr, acked: bool) -> None:
+        self.table.settle(addr)
+        self._awaiting.pop(addr)[1].set_result(acked)
+
+    def _retransmit(self, addr: Addr, raw: bytes) -> None:
+        self.stats["pushes_retransmitted"] += 1
+        self._request(addr, raw)
+
+    def _give_up(self, addr: Addr) -> None:
+        self.stats["pushes_given_up"] += 1
+        self._finish(addr, False)

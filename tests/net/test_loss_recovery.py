@@ -3,7 +3,7 @@
 from collections import defaultdict
 
 from repro.experiments.common import make_level_fleet
-from repro.net.faults import burst_loss_schedule
+from repro.net.faults import Fault, FaultKind, FaultSchedule, burst_loss_schedule
 from repro.net.node import GroundNetwork, SimNode
 from repro.net.radio import LinkModel
 from repro.net.run import RetryPolicy, simulate_discovery
@@ -135,3 +135,18 @@ class TestRebroadcastSeeksOnlyUnfound:
         timeline, _ = self._lossy_run()
         found = sorted(service.object_id for service in timeline.services)
         assert found == sorted(timeline.completion)
+
+
+class TestDuplicatedLevel1Res1:
+    """A fault-duplicated Level 1 RES1 must not list its object twice."""
+
+    def test_each_level1_object_listed_once(self):
+        subject, objects, _ = make_level_fleet(12, 1)
+        for seed in range(3):
+            timeline = simulate_discovery(
+                subject, objects, seed=seed,
+                faults=FaultSchedule(
+                    (Fault(FaultKind.DUPLICATION, severity=0.3),), seed=seed
+                ),
+            )
+            assert len(timeline.services) == 12, seed

@@ -36,6 +36,24 @@ class TestLevel1Flow:
         assert subject_engine.handle_res1_level1(tampered, "thermo-1") is None
         assert any(isinstance(e, AuthenticationError) for e in subject_engine.errors)
 
+    def test_duplicate_res1_discovered_once_per_round(
+        self, subject_engine, thermo_engine
+    ):
+        que1 = subject_engine.start_round()
+        res1 = thermo_engine.handle_que1(que1, subject_engine.creds.subject_id)
+        assert subject_engine.handle_res1_level1(res1, "thermo-1") is not None
+        with metered() as tally:
+            assert subject_engine.handle_res1_level1(res1, "thermo-1") is None
+        assert tally.snapshot() == {}  # dropped before Profile.verify
+        assert len(subject_engine.discovered) == 1
+        assert any(
+            isinstance(e, SessionError) and "duplicate RES1" in str(e)
+            for e in subject_engine.errors
+        )
+        # A new round seeks the peer again.
+        subject_engine.start_round()
+        assert subject_engine.handle_res1_level1(res1, "thermo-1") is not None
+
 
 class TestLevel2Flow:
     def test_staff_gets_staff_variant(self, subject_engine, media_engine):

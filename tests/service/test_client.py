@@ -1,10 +1,8 @@
 """SubjectServiceClient against live daemons: cold and warm paths."""
 
 import asyncio
-import random
 from contextlib import AsyncExitStack
 
-from repro.net.run import RetryPolicy
 from repro.protocol.subject import SubjectEngine
 from repro.protocol.versions import Version
 from repro.service.client import SubjectServiceClient
@@ -95,17 +93,6 @@ class TestWarmResumption:
 
 
 class TestRetrySemantics:
-    def test_jitter_rng_seeded_like_simulator(self):
-        # A live client and a simulated run with the same seed must draw
-        # identical retry timeouts — chaos runs replay from their seed.
-        policy = RetryPolicy()
-        client = SubjectServiceClient.__new__(SubjectServiceClient)
-        client._jitter_rng = random.Random((1234 & 0xFFFFFFFF) ^ 0x5EED5)
-        simulator_rng = random.Random((1234 & 0xFFFFFFFF) ^ 0x5EED5)
-        live = [policy.timeout_s(a, client._jitter_rng) for a in range(6)]
-        sim = [policy.timeout_s(a, simulator_rng) for a in range(6)]
-        assert live == sim
-
     def test_give_up_counted_once_per_exchange_live(self, level2_fleet):
         subject, objects, _ = level2_fleet
 
@@ -146,3 +133,23 @@ class TestRetrySemantics:
                 assert first == again  # byte-identical cached RES2
 
         asyncio.run(scenario())
+
+
+class TestClose:
+    def test_close_ends_an_open_round(self, level2_fleet):
+        subject, objects, _ = level2_fleet
+
+        async def scenario():
+            async with ObjectServiceDaemon(objects[0]) as daemon:
+                daemon.crash()  # silent: the round waits out phase 1
+                client = await make_client(subject, phase1_timeout_s=30.0).start()
+                discovery = asyncio.ensure_future(
+                    client.discover([daemon.address], rounds=1, allow_resume=False)
+                )
+                await asyncio.sleep(0.01)
+                await client.close()
+                return await asyncio.wait_for(discovery, 1.0), client.stats
+
+        found, stats = asyncio.run(scenario())
+        assert found == {}
+        assert stats.exchanges_given_up == 0  # a phase-1 wait is no give-up

@@ -234,3 +234,25 @@ class TestCrashAbort:
         assert push_stats["pushes_given_up"] == 1
         assert recovered == 2
         assert stats["updates_applied"] == 2
+
+
+class TestCloseInFlight:
+    def test_close_ends_a_pending_push_as_given_up(self):
+        subject, objects, backend = make_level_fleet(1, level=2)
+        message = UpdatePublisher(backend.root_key).revoke_subject(
+            objects[0].object_id, "intruder"
+        )
+
+        async def scenario():
+            async with ObjectServiceDaemon(objects[0]) as daemon:
+                daemon.crash()  # never ACKs
+                pusher = await UpdateStreamPusher(retry=PUSH_RETRY).start()
+                push = asyncio.ensure_future(pusher.push(daemon.address, message))
+                await asyncio.sleep(0.01)
+                await pusher.close()
+                acked = await asyncio.wait_for(push, 1.0)
+                return acked, dict(pusher.stats)
+
+        acked, push_stats = asyncio.run(scenario())
+        assert acked is False
+        assert push_stats["pushes_given_up"] == 1
