@@ -9,6 +9,7 @@ import pytest
 
 from repro.crypto import aead, kdf
 from repro.crypto.primitives import hkdf_like_prf, hmac_sha256, sha256
+from repro.protocol.resumption import TicketKeyring, TicketPayload, fresh_ticket_id
 
 KEY = b"k" * 32
 R_S, R_O = b"s" * 28, b"o" * 28
@@ -40,15 +41,49 @@ def test_bench_prf_expand(benchmark):
     benchmark(hkdf_like_prf, KEY, b"label", b"seed", 48)
 
 
-@pytest.mark.parametrize("size", [200, 1024])
-def test_bench_aead_encrypt(benchmark, size):
-    benchmark(aead.encrypt, KEY, b"x" * size)
+def aead_key(form):
+    """The session key as bytes, or pre-expanded once (a ticket key)."""
+    return KEY if form == "bytes" else aead.SymmetricCipher(KEY)
 
 
+@pytest.mark.parametrize("form", ["bytes", "cipher"])
 @pytest.mark.parametrize("size", [200, 1024])
-def test_bench_aead_decrypt(benchmark, size):
-    blob = aead.encrypt(KEY, b"x" * size)
-    benchmark(aead.decrypt, KEY, blob)
+def test_bench_aead_encrypt(benchmark, size, form):
+    benchmark(aead.encrypt, aead_key(form), b"x" * size)
+
+
+@pytest.mark.parametrize("form", ["bytes", "cipher"])
+@pytest.mark.parametrize("size", [200, 1024])
+def test_bench_aead_decrypt(benchmark, size, form):
+    key = aead_key(form)
+    blob = aead.encrypt(key, b"x" * size)
+    benchmark(aead.decrypt, key, blob)
+
+
+def ticket_payload():
+    return TicketPayload(
+        ticket_id=fresh_ticket_id(), peer_id="subject-0001", level=3,
+        group_id="grp-0", variant="covert", master=KEY, expiry=2**20, epoch=7,
+    )
+
+
+def test_bench_ticket_seal(benchmark):
+    keyring = TicketKeyring()
+    benchmark(keyring.seal, ticket_payload())
+
+
+def test_bench_ticket_open(benchmark):
+    keyring = TicketKeyring()
+    sealed = keyring.seal(ticket_payload())
+    assert benchmark(keyring.open, sealed) is not None
+
+
+def test_bench_ticket_open_after_rotation(benchmark):
+    """The grace path: the current key fails, the previous one opens."""
+    keyring = TicketKeyring()
+    sealed = keyring.seal(ticket_payload())
+    keyring.rotate()
+    assert benchmark(keyring.open, sealed) is not None
 
 
 def test_symmetric_ops_under_1ms():

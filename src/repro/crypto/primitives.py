@@ -29,6 +29,14 @@ def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
+#: SHA-256's input block: RFC 2104 pads the HMAC key to this length.
+_SHA256_BLOCK = 64
+
+#: ``key XOR ipad`` and ``key XOR opad`` as ``bytes.translate`` tables.
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+
+
 def hmac_sha256(key: bytes, data: bytes) -> bytes:
     """Return ``HMAC-SHA256(key, data)``.
 
@@ -37,7 +45,23 @@ def hmac_sha256(key: bytes, data: bytes) -> bytes:
     handshake-finished tags.
     """
     meter.record("hmac")
-    return _hmac.new(key, data, hashlib.sha256).digest()
+    return hmac_digest(key, data)
+
+
+def hmac_digest(key: bytes, data: bytes) -> bytes:
+    """RFC 2104 HMAC-SHA256 straight from :mod:`hashlib`, unmetered.
+
+    Byte-identical to ``hmac.new(key, data, "sha256").digest()`` without
+    its per-call object and pad setup. Only :mod:`repro.crypto.aead`
+    calls it directly, because it meters its own key schedule per
+    operation; everything else goes through :func:`hmac_sha256`.
+    """
+    if len(key) > _SHA256_BLOCK:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_SHA256_BLOCK, b"\0")
+    inner = hashlib.sha256(key.translate(_IPAD))
+    inner.update(data)
+    return hashlib.sha256(key.translate(_OPAD) + inner.digest()).digest()
 
 
 def constant_time_equal(a: bytes, b: bytes) -> bool:

@@ -58,8 +58,9 @@ SESSION_LIMIT = 256
 PENDING_HANDSHAKE_TTL_S = 30.0
 #: Finished exchanges whose RES2 is kept for idempotent retransmission.
 RES2_CACHE_LIMIT = SESSION_LIMIT
-#: Transport peers whose authenticated identity is remembered; past it
-#: the least recently written mapping is forgotten.
+#: Transport peers whose authenticated identity is remembered, and
+#: subjects whose finished session is kept; past it the least recently
+#: written entry of each map is forgotten.
 PEER_IDENTITY_LIMIT = 4096
 
 
@@ -146,8 +147,9 @@ class ObjectEngine(ErrorLog):
         #: repro.protocol.resumption.
         self._res2_replay_cache: OrderedDict[str, tuple[bytes, Res2]] = OrderedDict()
         #: Completed handshakes, keyed by authenticated subject identity,
-        #: for the access layer.
-        self.established: dict[str, EstablishedSession] = {}
+        #: for the access layer; least recently written first, capped at
+        #: ``PEER_IDENTITY_LIMIT``.
+        self.established: OrderedDict[str, EstablishedSession] = OrderedDict()
         #: Network peer id -> authenticated subject identity (they differ
         #: when the transport addresses nodes by something other than the
         #: certificate identity, e.g. the simulator's node names).
@@ -328,14 +330,13 @@ class ObjectEngine(ErrorLog):
         mac_o = keys.object_mac(session_key, res2_transcript)
         res2 = Res2(ciphertext=ciphertext, mac_o=mac_o)
         self._store_res2_cache(peer_id, que2, res2)
-        self._remember_peer(peer_id, subject_id)
-        self.established[subject_id] = EstablishedSession(
+        self._establish(peer_id, EstablishedSession(
             peer_id=subject_id,
             key=session_key,
             level=level,
             functions=payload.functions,
             group_id=matched_group,
-        )
+        ))
         return res2
 
     # -- session resumption (RQUE -> RRES; symmetric ops only) ---------------------
@@ -408,14 +409,13 @@ class ObjectEngine(ErrorLog):
         ciphertext = aead.encrypt(session_key, plaintext)
         mac_o = kdf.object_finished(session_key, transcript + ciphertext)
         meter.record("resumption_accept")
-        self._remember_peer(peer_id, body.peer_id)
-        self.established[body.peer_id] = EstablishedSession(
+        self._establish(peer_id, EstablishedSession(
             peer_id=body.peer_id,
             key=session_key,
             level=body.level,
             functions=payload.functions,
             group_id=body.group_id or None,
-        )
+        ))
         return Rres(r_o=r_o, ciphertext=ciphertext, mac_o=mac_o)
 
     def _ticket_variant(self, body: TicketPayload) -> Profile | None:
@@ -621,13 +621,19 @@ class ObjectEngine(ErrorLog):
             self._seen_nonces.popitem(last=False)
 
     def _store_session(self, peer_id: str, session: _ObjectSession) -> None:
-        self._sessions.pop(peer_id, None)  # a re-QUE1 goes to the back
-        self._sessions[peer_id] = session
-        while len(self._sessions) > self.session_limit:
-            self._sessions.popitem(last=False)
+        # A re-QUE1 goes to the back.
+        _put_recent(self._sessions, peer_id, session, self.session_limit)
 
-    def _remember_peer(self, peer_id: str, subject_id: str) -> None:
-        self.peer_identity.pop(peer_id, None)
-        self.peer_identity[peer_id] = subject_id
-        while len(self.peer_identity) > PEER_IDENTITY_LIMIT:
-            self.peer_identity.popitem(last=False)
+    def _establish(self, peer_id: str, session: EstablishedSession) -> None:
+        """Record a finished handshake from transport peer *peer_id*."""
+        _put_recent(self.peer_identity, peer_id, session.peer_id, PEER_IDENTITY_LIMIT)
+        _put_recent(self.established, session.peer_id, session, PEER_IDENTITY_LIMIT)
+
+
+def _put_recent(table: OrderedDict, key, value, limit: int) -> None:
+    """Write *key* as *table*'s most recent entry; past *limit* entries
+    the least recently written ones are dropped."""
+    table.pop(key, None)
+    table[key] = value
+    while len(table) > limit:
+        table.popitem(last=False)

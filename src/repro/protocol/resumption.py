@@ -151,16 +151,18 @@ class TicketKeyring:
     ``rotate()`` installs a fresh key and demotes the current one to
     *previous*; :meth:`open` tries both, so tickets issued shortly before
     a rotation stay redeemable for exactly one more rotation period.
+    Each key is a :class:`~repro.crypto.aead.SymmetricCipher`, expanded
+    once when it is made rather than on every seal and open.
     """
 
     def __init__(self) -> None:
-        self._current: bytes = random_bytes(32)
-        self._previous: bytes | None = None
+        self._current = aead.SymmetricCipher(random_bytes(32))
+        self._previous: aead.SymmetricCipher | None = None
         self.rotations = 0
 
     def rotate(self) -> None:
         self._previous = self._current
-        self._current = random_bytes(32)
+        self._current = aead.SymmetricCipher(random_bytes(32))
         self.rotations += 1
 
     def seal(self, payload: TicketPayload) -> bytes:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crypto import meter
+from repro.crypto import aead, meter
 from repro.crypto.costmodel import (
     NEXUS6,
     RASPBERRY_PI3,
@@ -56,6 +56,31 @@ class TestMeter:
         b.add("hmac", n=2)
         a.merge(b)
         assert a.total("hmac") == 3
+
+
+class TestAeadMetering:
+    """§IX-B prices one AEAD operation as 1 AES + 3 HMAC (two subkey
+    expansions and the tag), whichever key form it is handed."""
+
+    KEY = b"k" * 32
+
+    @pytest.mark.parametrize("form", ["bytes", "cipher"])
+    def test_one_operation_records_1_aes_3_hmac(self, form):
+        key = self.KEY if form == "bytes" else aead.SymmetricCipher(self.KEY)
+        with meter.metered() as sealing:
+            blob = aead.encrypt(key, b"payload")
+        with meter.metered() as opening:
+            aead.decrypt(key, blob)
+        with meter.metered() as refusing:
+            with pytest.raises(aead.AeadError):
+                aead.decrypt(key, blob[:-1] + bytes([blob[-1] ^ 1]))
+        for tally in (sealing, opening, refusing):
+            assert tally.counts == {("aes", 0): 1, ("hmac", 0): 3}
+
+    def test_building_a_cipher_records_nothing(self):
+        with meter.metered() as tally:
+            aead.SymmetricCipher(self.KEY)
+        assert tally.counts == {}
 
 
 class TestCostModel:

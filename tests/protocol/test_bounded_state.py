@@ -2,9 +2,9 @@
 
 The pending table holds half-open handshakes only: a QUE2 closes its
 session (and releases the ephemeral key) whatever the outcome, and TTL
-expiry reads only the front of the table.  The peer-identity map and
-both engines' error logs are capped by module constants.  Every check
-here counts; none is timed.
+expiry reads only the front of the table.  The peer-identity map, the
+object's established-session map and both engines' error logs are
+capped by module constants.  Every check here counts; none is timed.
 """
 
 import weakref
@@ -20,6 +20,7 @@ from hypothesis.stateful import (
 )
 
 from repro.access import CommandClient, CommandHandler
+from repro.backend import Backend
 from repro.crypto.keypool import ecdh_keypair
 from repro.crypto.primitives import MAC_LEN, fresh_nonce
 from repro.protocol import errors as errors_mod
@@ -204,6 +205,37 @@ class TestPeerIdentityBound:
             assert handler.handle(command, peer) is not None
         forgotten = client.build_command(media.object_id, "play")
         assert handler.handle(forgotten, peers[0]) is None
+
+
+class TestEstablishedBound:
+    def test_more_subjects_than_the_cap(self, monkeypatch):
+        """Both writers (QUE2 and RQUE) refresh recency; the least
+        recently written subject is the one evicted."""
+        monkeypatch.setattr(object_mod, "PEER_IDENTITY_LIMIT", 3)
+        backend = Backend()
+        backend.add_policy("staff-media", "position=='staff'", "type=='multimedia'", ("play",))
+        media = backend.register_object(
+            "media-1", {"type": "multimedia"}, level=2, functions=("play",),
+            variants=[("position=='staff'", ("play",))],
+        )
+        subjects = {
+            f"staff-{i}": SubjectEngine(
+                backend.register_subject(f"staff-{i}", {"position": "staff"})
+            )
+            for i in range(6)
+        }
+        engine = ObjectEngine(media, issue_tickets=True)
+        for name in list(subjects)[:5]:
+            run_round(subjects[name], {media.object_id: engine})
+        assert list(engine.established) == ["staff-2", "staff-3", "staff-4"]
+        returning = subjects["staff-2"]
+        rres = engine.handle_rque(
+            returning.start_resumption(media.object_id), "staff-2"
+        )
+        assert returning.handle_rres(rres, media.object_id) is not None
+        run_round(subjects["staff-5"], {media.object_id: engine})
+        assert list(engine.established) == ["staff-4", "staff-2", "staff-5"]
+        assert len(engine.peer_identity) == 3
 
 
 class TestErrorLogBound:

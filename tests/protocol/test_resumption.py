@@ -267,6 +267,69 @@ class TestIndistinguishability:
         assert len(lengths) == 2  # one key length + one ciphertext length
 
 
+#: Cache-visibility markers whose counts depend on process-wide cache
+#: and key-pool state rather than on the exchange itself.
+CACHE_STATE_MARKERS = frozenset(
+    {"profile_verify_cached", "cert_verify_cached", "ecdh_pool_hit", "ecdh_pool_miss"}
+)
+
+#: Per-side tallies of one first-contact handshake and one resumption,
+#: pinned from the AEAD/HMAC implementation that predates the hashlib
+#: HMAC and the pre-expanded ticket keys: a faster symmetric layer must
+#: meter exactly the same operations (§IX-B).
+FULL_SUBJECT = {
+    "aes": 1, "hmac": 10, "ecdsa_sign": 1, "ecdsa_verify": 4, "ecdh_gen": 1, "ecdh_derive": 1,
+}
+FULL_OBJECT_L2 = {
+    "aes": 2, "hmac": 10, "ecdsa_sign": 1, "ecdsa_verify": 4, "ecdh_gen": 1, "ecdh_derive": 1,
+    "resumption_ticket_issued": 1,
+}
+FULL_OBJECT_L3 = {**FULL_OBJECT_L2, "hmac": 12}
+RRES_SUBJECT = {"aes": 1, "hmac": 6}
+RQUE_OBJECT = {"aes": 3, "hmac": 13, "resumption_accept": 1, "resumption_ticket_issued": 1}
+
+
+def op_tally(tally) -> dict[str, int]:
+    return {
+        op: n for (op, _), n in tally.counts.items() if op not in CACHE_STATE_MARKERS
+    }
+
+
+class TestPinnedOpTallies:
+    def _tallies(self, subject_creds, object_creds):
+        subject = SubjectEngine(subject_creds)
+        engine = ObjectEngine(object_creds, issue_tickets=True)
+        full = run_round(subject, {object_creds.object_id: engine})
+        rque = subject.start_resumption(object_creds.object_id)
+        with meter.metered() as object_ops:
+            rres = engine.handle_rque(rque, "wire-1")
+        with meter.metered() as subject_ops:
+            assert subject.handle_rres(rres, object_creds.object_id) is not None
+        return (
+            op_tally(full.subject_ops),
+            op_tally(full.object_ops[object_creds.object_id]),
+            op_tally(subject_ops),
+            op_tally(object_ops),
+        )
+
+    def test_level2(self, staff, media):
+        assert self._tallies(staff, media) == (
+            FULL_SUBJECT, FULL_OBJECT_L2, RRES_SUBJECT, RQUE_OBJECT,
+        )
+
+    def test_covert_level3(self, fellow, kiosk):
+        assert self._tallies(fellow, kiosk) == (
+            FULL_SUBJECT, FULL_OBJECT_L3, RRES_SUBJECT, RQUE_OBJECT,
+        )
+
+    def test_level2_face_of_a_level3_object(self, staff, kiosk):
+        """The non-fellow's Level 2 face costs what the covert session
+        costs, on the full path and on resumption alike."""
+        assert self._tallies(staff, kiosk) == (
+            FULL_SUBJECT, FULL_OBJECT_L3, RRES_SUBJECT, RQUE_OBJECT,
+        )
+
+
 class TestTicketPrimitives:
     def test_replay_ledger_is_bounded(self):
         ledger = ReplayLedger(limit=4)
@@ -289,6 +352,13 @@ class TestTicketPrimitives:
         assert keyring.open(sealed) == payload  # previous key still opens
         keyring.rotate()
         assert keyring.open(sealed) is None
+
+    def test_keyring_creation_and_rotation_meter_nothing(self):
+        with meter.metered() as tally:
+            keyring = TicketKeyring()
+            keyring.rotate()
+            keyring.rotate()
+        assert tally.counts == {}
 
     def test_sealed_tickets_are_constant_length(self, staff, media, fellow, kiosk):
         lengths = set()
