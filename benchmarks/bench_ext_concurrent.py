@@ -7,7 +7,7 @@ Not a paper figure; quantifies contention as the floor gets crowded
 import pytest
 
 from repro.experiments.concurrent_subjects import build_floor
-from repro.net.concurrent import simulate_concurrent_discovery
+from repro.net.run import simulate_concurrent_discovery
 
 
 @pytest.mark.parametrize("n_subjects", [1, 4, 8])

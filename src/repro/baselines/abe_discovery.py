@@ -133,10 +133,6 @@ class AbeSystem:
             found.append(Profile.from_bytes(plaintext))
         return found
 
-    def can_decrypt(self, subject_id: str, record: AbeCiphertextRecord) -> bool:
-        state = self._subject(subject_id)
-        return record.header.policy.satisfied_by(state.key.attributes)
-
     # -- revocation (the expensive path) ------------------------------------------------
 
     def remove_subject(self, subject_id: str) -> AbeUpdateReport:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.backend import Backend
 from repro.experiments.common import Table
-from repro.net.concurrent import simulate_concurrent_discovery
+from repro.net.run import simulate_concurrent_discovery
 
 
 def build_floor(n_subjects: int, n_objects: int = 10):

@@ -12,11 +12,11 @@ the concurrent-floor simulation once per mode to show the air-time win
 
 from __future__ import annotations
 
-from repro.backend import Backend
 from repro.crypto.costmodel import NEXUS6, RASPBERRY_PI3
 from repro.crypto.meter import OpMeter
 from repro.experiments.common import Table, make_level_fleet
-from repro.net.concurrent import simulate_concurrent_discovery
+from repro.experiments.concurrent_subjects import build_floor
+from repro.net.run import simulate_concurrent_discovery
 from repro.protocol.discovery import DiscoveryResult, run_round, run_warm_round
 from repro.protocol.messages import level23_exchange_nominal, resumed_exchange_nominal
 from repro.protocol.object import ObjectEngine
@@ -47,22 +47,6 @@ def measure_paths(level: int = 2, strength: int = 128) -> dict[str, DiscoveryRes
     return results
 
 
-def _floor(n_subjects: int, n_objects: int):
-    backend = Backend()
-    subjects = [
-        backend.register_subject(f"user-{i:02d}", {"position": "staff"})
-        for i in range(n_subjects)
-    ]
-    objects = [
-        backend.register_object(
-            f"obj-{i:02d}", {"type": "multimedia"}, level=2, functions=("play",),
-            variants=[("position=='staff'", ("play",))],
-        )
-        for i in range(n_objects)
-    ]
-    return subjects, objects
-
-
 def run(level: int = 2, n_subjects: int = 4, n_objects: int = 6) -> Table:
     table = Table(
         "Extension: session resumption vs the full 4-way handshake "
@@ -86,7 +70,7 @@ def run(level: int = 2, n_subjects: int = 4, n_objects: int = 6) -> Table:
             wire[name],
         )
 
-    subjects, objects = _floor(n_subjects, n_objects)
+    subjects, objects = build_floor(n_subjects, n_objects)
     first = simulate_concurrent_discovery(subjects, objects, seed=7)
     again = simulate_concurrent_discovery(subjects, objects, seed=7, resumption=True)
     table.notes = (

@@ -298,19 +298,3 @@ class TaintAnalysis:
                         f"formatting in {fn.qualified}",
                     )
         return out
-
-
-@dataclass
-class _CallSite:
-    fn: ProgramFunction
-    call: dict
-
-
-def call_sites(program: Program, predicate) -> list[_CallSite]:
-    """All call records matching *predicate(call)*, in program order."""
-    return [
-        _CallSite(fn, call)
-        for fn in program.iter_functions()
-        for call in fn.calls
-        if predicate(call)
-    ]

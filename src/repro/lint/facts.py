@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Any
 
 #: Attribute names whose *read* is recorded as a pseudo-call so the
 #: dataflow layer can treat them as taint sources (LKH node/group keys
@@ -438,8 +437,3 @@ def extract_module_facts(path: str, source: str, tree: ast.Module, module: str) 
         "globals": globals_info,
         "registers_at_fork": registers_at_fork,
     }
-
-
-def atom_key(atom: Any) -> tuple:
-    """Hashable form of a (possibly JSON-round-tripped) atom."""
-    return tuple(atom)

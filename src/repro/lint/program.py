@@ -96,14 +96,6 @@ class Program:
             self.functions.values(), key=lambda fn: (fn.path, fn.line, fn.qualified)
         )
 
-    def modules_in(self, *packages: str) -> list[dict]:
-        """Module facts for modules in (or under) any named package."""
-        return [
-            facts
-            for module, facts in sorted(self.modules.items())
-            if any(module == pkg or module.startswith(pkg + ".") for pkg in packages)
-        ]
-
     def callees(self, fn: ProgramFunction) -> list[ProgramFunction]:
         """In-program functions *fn* calls (call-graph edge set)."""
         out: dict[str, ProgramFunction] = {}

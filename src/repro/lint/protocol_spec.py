@@ -15,8 +15,8 @@ from __future__ import annotations
 PROTOCOL_PACKAGE = "repro.protocol"
 
 #: Every package PROTO-STATE walks.  Transports hold no handlers of
-#: their own: the simulator and the live daemon both route through
-#: ``ObjectEngine.receive``, so the engines are the one dispatcher.
+#: their own: every host routes through ``ObjectEngine.receive`` or
+#: ``SubjectTracker.receive``, so ``repro.protocol`` is the one dispatcher.
 CHECKED_PACKAGES: tuple[str, ...] = (PROTOCOL_PACKAGE,)
 
 #: Module defining the wire message dataclasses.

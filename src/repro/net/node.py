@@ -29,6 +29,7 @@ from repro.crypto.costmodel import DeviceProfile
 from repro.crypto.meter import metered
 from repro.net.faults import CorruptedFrame, FaultLayer, FaultSchedule
 from repro.net.radio import LinkModel, Radio
+from repro.net.retry import Retransmissions, RetryPolicy
 from repro.net.simulator import Simulator
 from repro.protocol.errors import MessageFormatError
 from repro.protocol.messages import (
@@ -43,6 +44,7 @@ from repro.protocol.messages import (
 )
 from repro.protocol.object import ObjectEngine
 from repro.protocol.subject import SubjectEngine
+from repro.protocol.tracker import SubjectTracker
 
 
 class TimingMode(enum.Enum):
@@ -97,18 +99,21 @@ class NodeStats:
 
 
 class SimNode:
-    """A device in the ground network."""
+    """A device in the ground network; a bare :class:`SubjectEngine` gets a
+    :class:`SubjectTracker` (that re-sends nothing), so engines all ``receive``."""
 
     def __init__(
         self,
         name: str,
         role: str,
         profile: DeviceProfile,
-        engine: SubjectEngine | ObjectEngine | None = None,
+        engine: SubjectTracker | SubjectEngine | ObjectEngine | None = None,
     ) -> None:
         self.name = name
         self.role = role
         self.profile = profile
+        if isinstance(engine, SubjectEngine):
+            engine = SubjectTracker(engine, Retransmissions(RetryPolicy()))
         self.engine = engine
         self.radio = Radio(name)
         self.cpu_busy_until = 0.0
@@ -338,7 +343,7 @@ class GroundNetwork:
             return
         node.engine.tick(self.sim.now)
         start = max(self.sim.now, node.cpu_busy_until)
-        replies, compute_s = self._run_engine(node, message, src)
+        reply, compute_s = self._run_engine(node, message, src)
         duration = compute_s + node.profile.per_message_ms / 1000.0
         node.cpu_busy_until = start + duration
         node.stats.compute_s += duration
@@ -349,62 +354,37 @@ class GroundNetwork:
                 node.cpu_busy_until,
                 lambda: hook(self.sim.now, node.name, message),
             )
-        if replies:
-            self.sim.at(
-                node.cpu_busy_until,
-                lambda: [self.unicast(dst, to, reply) for reply, to in replies],
-            )
+        if reply is not None:
+            self.sim.at(node.cpu_busy_until, lambda: self.unicast(dst, src, reply))
 
     def _run_engine(self, node: SimNode, message, src: str):
         """Dispatch a message into the node's engine; price the work."""
         handler = self._handler(node, message)
-        if handler is None:
-            return [], 0.0
         if self.timing is TimingMode.CALIBRATED:
             with metered() as tally:
-                replies = handler(message, src)
+                reply = handler(message, src)
             compute_s = node.profile.meter_cost_ms(tally) / 1000.0
         else:
             t0 = time.perf_counter()
-            replies = handler(message, src)
+            reply = handler(message, src)
             compute_s = time.perf_counter() - t0
-        return replies, compute_s
+        return reply, compute_s
 
     def _handler(self, node: SimNode, message):
+        """Access-layer frames go to their endpoints, the rest to the engine."""
         from repro.access.messages import Command, Response
 
-        engine = node.engine
-        if isinstance(engine, ObjectEngine):
-            if isinstance(message, Command) and node.command_handler is not None:
-                handler = node.command_handler
-                return lambda m, s: self._to_replies(handler.handle(m, s), s)
-            return lambda m, s: self._to_replies(engine.receive(m, s), s)
-        if isinstance(engine, SubjectEngine):
-            if isinstance(message, Res1Level1):
-                return lambda m, s: (engine.handle_res1_level1(m, s), [])[1]
-            if isinstance(message, Res1):
-                return lambda m, s: self._to_replies(engine.handle_res1(m, s), s)
-            if isinstance(message, Res2):
-                return lambda m, s: (engine.handle_res2(m, s), [])[1]
-            if isinstance(message, Rres):
-                return lambda m, s: (engine.handle_rres(m, s), [])[1]
-            if isinstance(message, Response) and node.command_client is not None:
-                client = node.command_client
+        if isinstance(message, Command) and node.command_handler is not None:
+            return node.command_handler.handle
+        if isinstance(message, Response) and node.command_client is not None:
 
-                def handle_response(m, s):
-                    try:
-                        payload = client.parse_response(s, m)
-                    except Exception as exc:  # recorded, never crashes the sim
-                        node.command_results.append((self.sim.now, s, b""))
-                        engine.record_wire_error(exc)
-                        return []
-                    node.command_results.append((self.sim.now, s, payload))
-                    return []
+            def handle_response(m, s):
+                payload = b""
+                try:
+                    payload = node.command_client.parse_response(s, m)
+                except Exception as exc:  # recorded, never crashes the sim
+                    node.engine.record_wire_error(exc)
+                node.command_results.append((self.sim.now, s, payload))
 
-                return handle_response
-            return None
-        return None
-
-    @staticmethod
-    def _to_replies(reply, peer: str):
-        return [(reply, peer)] if reply is not None else []
+            return handle_response
+        return node.engine.receive

@@ -6,8 +6,9 @@ records when each object's discovery completes on the subject. Sorted
 completion times are exactly the paper's "discovery time cost vs number
 of objects" curves.
 
-Lost QUE2s are re-sent by :class:`~repro.net.retry.Retransmissions`, the
-table the live client shares (``RetryPolicy`` is re-exported from here).
+One body drives one subject or many, each through its own
+:class:`~repro.protocol.tracker.SubjectTracker` and retry table, as the
+live client does (``RetryPolicy`` is re-exported from here).
 """
 
 from __future__ import annotations
@@ -23,10 +24,12 @@ from repro.net.node import GroundNetwork, SimNode, SizeMode, TimingMode
 from repro.net.radio import DEFAULT_WIFI, LinkModel
 from repro.net.retry import Retransmissions, RetryPolicy
 from repro.net.simulator import Simulator
-from repro.net.topology import SUBJECT, hop_distance, star
-from repro.protocol.messages import Que2, Res1Level1, Res2, Rque
+from repro.net.topology import SUBJECT, hop_distance, shared_floor, star
+from repro.protocol.discovery import run_round
+from repro.protocol.messages import Res1Level1, Res2, Rres
 from repro.protocol.object import ObjectEngine
 from repro.protocol.subject import SubjectEngine
+from repro.protocol.tracker import SubjectTracker
 from repro.protocol.versions import Version
 
 
@@ -36,11 +39,12 @@ class DiscoveryTimeline:
 
     #: object id -> simulated time (s) its discovery completed.
     completion: dict[str, float] = field(default_factory=dict)
-    #: object id -> hop distance from the subject.
+    #: object id -> hop distance from the subject, for every object the
+    #: run sought (a resumed run seeks the objects it holds tickets for).
     hops: dict[str, int] = field(default_factory=dict)
     #: total subject compute seconds (simulated).
     subject_compute_s: float = 0.0
-    #: per-object compute seconds (simulated).
+    #: per-object compute seconds (simulated; over every subject served).
     object_compute_s: dict[str, float] = field(default_factory=dict)
     services: list = field(default_factory=list)
     #: QUE2/RQUE frames the retry layer re-sent.
@@ -49,7 +53,7 @@ class DiscoveryTimeline:
     #: deadline ran out — each abandoned exchange counts exactly once,
     #: however many backoff timers fired on the way there.
     exchanges_given_up: int = 0
-    #: Frames the link model or fault layer dropped.
+    #: Frames the link model or fault layer dropped (network-wide).
     messages_lost: int = 0
 
     @property
@@ -113,94 +117,175 @@ def simulate_discovery(
     """
     if graph is None:
         graph = star([c.object_id for c in object_creds])
+    return _simulate(
+        [(SUBJECT, subject_creds)], object_creds, graph, link, timing, sizes,
+        version, subject_profile, object_profile, group_id, seed, deadline_s,
+        max_rounds, round_interval_s, retry, faults, max_events, on_delivery,
+    )[0]
 
+
+@dataclass
+class ConcurrentTimeline:
+    """Per-subject completion results of a concurrent run."""
+
+    #: subject id -> time (s) it finished discovering ALL objects.
+    subject_completion: dict[str, float] = field(default_factory=dict)
+    #: subject id -> number of objects it discovered.
+    discovered_counts: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def makespan(self) -> float:
+        """Time until the last subject finished."""
+        return max(self.subject_completion.values(), default=0.0)
+
+    @property
+    def mean_completion(self) -> float:
+        values = list(self.subject_completion.values())
+        return sum(values) / len(values) if values else 0.0
+
+
+def simulate_concurrent_discovery(
+    subject_creds: list[SubjectCredentials],
+    object_creds: list[ObjectCredentials],
+    link: LinkModel = DEFAULT_WIFI,
+    timing: TimingMode = TimingMode.CALIBRATED,
+    sizes: SizeMode = SizeMode.NOMINAL,
+    version: Version = Version.V3_0,
+    subject_profile: DeviceProfile = NEXUS6,
+    object_profile: DeviceProfile = RASPBERRY_PI3,
+    stagger_s: float = 0.0,
+    seed: int = 0,
+    deadline_s: float = 120.0,
+    resumption: bool = False,
+    max_rounds: int = 1,
+    round_interval_s: float = 2.0,
+    retry: RetryPolicy | None = None,
+    faults: FaultLayer | FaultSchedule | None = None,
+    on_delivery=None,
+) -> ConcurrentTimeline:
+    """All subjects discover the same fleet over one shared channel (§II-C).
+
+    Each subject runs its own rounds exactly as in :func:`simulate_discovery`,
+    whose keywords mean the same here; ``stagger_s`` spaces their first
+    rounds (0 = simultaneous burst, the worst case for contention).
+    ``resumption`` simulates a *re*-discovery: each subject first completes
+    one in-memory discovery (an earlier visit, off the air), then opens
+    with unicast RQUEs to the objects it holds tickets for, its target.
+    """
+    subject_ids = [c.subject_id for c in subject_creds]
+    timelines = _simulate(
+        list(zip(subject_ids, subject_creds)), object_creds,
+        shared_floor(subject_ids, [c.object_id for c in object_creds]),
+        link, timing, sizes, version, subject_profile, object_profile, None,
+        seed, deadline_s, max_rounds, round_interval_s, retry, faults,
+        1_000_000, on_delivery, stagger_s, resumption,
+    )
+    result = ConcurrentTimeline()
+    for subject_id, timeline in zip(subject_ids, timelines):
+        found = result.discovered_counts[subject_id] = len(timeline.completion)
+        if found and found >= len(timeline.hops):
+            result.subject_completion[subject_id] = timeline.total_time
+    return result
+
+
+def _simulate(
+    subjects, object_creds, graph, link, timing, sizes, version, subject_profile,
+    object_profile, group_id, seed, deadline_s, max_rounds, round_interval_s,
+    retry, faults, max_events, on_delivery, stagger_s=0.0, resumption=False,
+) -> list[DiscoveryTimeline]:
+    """The one simulated driver: a timeline per ``(node, creds)`` subject,
+    each subject with its own tracker, retry table and rounds."""
     sim = Simulator()
     net = GroundNetwork(sim, graph, link, timing, sizes, seed=seed, faults=faults)
-
-    subject_engine = SubjectEngine(subject_creds, version)
-    subject_node = SimNode(SUBJECT, "subject", subject_profile, subject_engine)
-    net.add_node(subject_node)
-
+    objects: dict[str, ObjectEngine] = {}
     for creds in object_creds:
         # Wire path: duplicated/retransmitted QUE2s get the byte-identical
         # cached RES2 back (idempotent recovery, see docs/robustness.md).
-        engine = ObjectEngine(creds, version, resend_cached_res2=True)
+        objects[creds.object_id] = engine = ObjectEngine(
+            creds, version, issue_tickets=resumption, resend_cached_res2=True
+        )
         net.add_node(SimNode(creds.object_id, "object", object_profile, engine))
-
     for node_name, data in graph.nodes(data=True):
         if data.get("role") == "relay":
             net.add_node(SimNode(node_name, "relay", object_profile))
 
-    timeline = DiscoveryTimeline()
-    for creds in object_creds:
-        timeline.hops[creds.object_id] = hop_distance(graph, creds.object_id)
+    trackers: dict[str, SubjectTracker] = {}
+    #: Each timeline's ``hops`` keys are the objects its subject seeks.
+    timelines: dict[str, DiscoveryTimeline] = {}
+    for index, (name, creds) in enumerate(subjects):
+        engine = SubjectEngine(creds, version)
+        if resumption:
+            run_round(engine, objects)  # the earlier visit
+            engine.discovered.clear()
+            engine.established.clear()
+            engine.errors.clear()
+        # No tickets (e.g. a pure Level 1 fleet) -> full discovery.
+        sought = [oid for oid in objects if engine.has_ticket(oid)] or objects
+        trackers[name] = SubjectTracker(
+            engine, Retransmissions(retry or RetryPolicy(), seed + index)
+        )
+        timelines[name] = DiscoveryTimeline(
+            hops={oid: hop_distance(graph, oid, name) for oid in sought}
+        )
+        net.add_node(SimNode(name, "subject", subject_profile, trackers[name]))
 
-    # The subject's in-flight QUE2s; a completed object settles its entry
-    # and a new round clears the table (a fresh QUE1 supersedes them).
-    table = Retransmissions(retry or RetryPolicy(), seed)
-
-    # Completion detection: a discovery completes when the subject node
-    # finishes processing the message that yields a DiscoveredService —
-    # a Level 1 RES1 or a RES2.
-    seen_count = {"n": 0}
+    def launch_round(name: str, index: int) -> None:
+        tracker, targets = trackers[name], timelines[name].hops
+        if len(timelines[name].completion) >= len(targets):
+            return
+        if index == 0 and tracker.engine.tickets:
+            for peer, rque in tracker.start_resumption(targets):
+                net.unicast(name, peer, rque)
+        else:
+            # Seek only the objects not found yet.  The engine's view, not
+            # the timeline's: completion is stamped when the subject's CPU
+            # finishes a reply, which can be after this round starts.
+            found = {service.object_id for service in tracker.engine.discovered}
+            que1 = tracker.start_round([o for o in targets if o not in found], group_id)
+            net.broadcast(name, que1)
+        if index + 1 < max_rounds:
+            sim.schedule(round_interval_s, lambda: launch_round(name, index + 1))
 
     def on_processed(t: float, node_name: str, message) -> None:
-        if node_name == SUBJECT and isinstance(message, (Res1Level1, Res2)):
-            for service in subject_engine.discovered[seen_count["n"]:]:
-                timeline.completion.setdefault(service.object_id, t)
-                table.settle(service.object_id)
-            seen_count["n"] = len(subject_engine.discovered)
+        # Completions are stamped when the subject's CPU finishes a reply
+        # that can settle an exchange.
+        if node_name in trackers and isinstance(message, (Res1Level1, Res2, Rres)):
+            for _, service in trackers[node_name].collect():
+                if service is not None:
+                    timelines[node_name].completion.setdefault(service.object_id, t)
 
     net.on_processed = on_processed
     if on_delivery is not None:
         net.on_delivery = on_delivery
-
     if retry is not None:
         # Each QUE2/RQUE sent schedules a check at its deadline; a check
         # re-sends the *same* frame (the object's idempotent duplicate
         # handling sees byte-identical bytes) back through on_sent.
-        def check() -> None:
-            resends, gave_up = table.due(sim.now)
+        def check(name: str) -> None:
+            resends, gave_up = trackers[name].table.due(sim.now)
             for dst, message in resends:
-                timeline.retransmissions += 1
-                net.unicast(SUBJECT, dst, message)
-            timeline.exchanges_given_up += len(gave_up)
+                timelines[name].retransmissions += 1
+                net.unicast(name, dst, message)
+            timelines[name].exchanges_given_up += len(gave_up)
 
         def on_sent(t: float, src: str, dst: str, message) -> None:
-            if src == SUBJECT and isinstance(message, (Que2, Rque)):
+            if src in trackers:
                 # Exact: at() adds (t + timeout) - t to t, which rounds back to t + timeout.
-                sim.at(table.sent(dst, message, t), check)
+                sim.at(trackers[src].table.sent(dst, message, t), lambda: check(src))
 
         net.on_sent = on_sent
 
-    expected = len(object_creds)
-
-    def launch_round(round_index: int) -> None:
-        if len(timeline.completion) >= expected:
-            return
-        table.clear()
-        # Seek only the objects not found yet.  The engine's view, not
-        # ``timeline.completion``: completion is stamped when the subject's
-        # CPU finishes a RES2, which can be after this round starts.
-        settled = {service.object_id for service in subject_engine.discovered}
-        que1 = subject_engine.start_round(group_id, settled=settled)
-        net.broadcast(SUBJECT, que1)
-        if round_index + 1 < max_rounds:
-            sim.schedule(
-                round_interval_s, lambda: launch_round(round_index + 1)
-            )
-
-    sim.schedule(0.0, lambda: launch_round(0))
+    for index, name in enumerate(trackers):
+        sim.schedule(index * stagger_s, lambda name=name: launch_round(name, 0))
     sim.run(until=deadline_s, max_events=max_events)
 
-    timeline.messages_lost = net.messages_lost
-    timeline.subject_compute_s = subject_node.stats.compute_s
-    for creds in object_creds:
-        timeline.object_compute_s[creds.object_id] = net.nodes[
-            creds.object_id
-        ].stats.compute_s
-    timeline.services = list(subject_engine.discovered)
-    return timeline
+    object_compute_s = {oid: net.nodes[oid].stats.compute_s for oid in objects}
+    for name, timeline in timelines.items():
+        timeline.messages_lost = net.messages_lost
+        timeline.subject_compute_s = net.nodes[name].stats.compute_s
+        timeline.object_compute_s = dict(object_compute_s)
+        timeline.services = list(trackers[name].engine.discovered)
+    return list(timelines.values())
 
 
 def simulate_multi_group_discovery(

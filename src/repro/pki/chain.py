@@ -140,7 +140,12 @@ class ChainVerifier:
     def _issuer_key(
         self, intermediates: tuple[Certificate, ...], now: int
     ) -> VerifyingKey | None:
-        """Validate the intermediate ladder (cached after first sight)."""
+        """Validate the intermediate ladder (cached after first sight).
+
+        This is the one intermediate-CA check a handshake pays the first
+        time this verifier sees a chain: §IX-B counts 3 ``ecdsa_verify``
+        per side per handshake, plus this check on first contact.
+        """
         first = intermediates[0]
         cache_key = first.to_bytes()
         cached = self._verified.get(cache_key)

@@ -454,9 +454,3 @@ class SubjectEngine(ErrorLog):
         self.established.clear()
         self._r_s = b""
         self._que1_bytes = b""
-
-    # -- bookkeeping ---------------------------------------------------------------------
-
-    @property
-    def current_group(self) -> str:
-        return self._group_id

@@ -8,11 +8,11 @@ and this package puts the *same* engines on real sockets:
 * :mod:`repro.service.daemon` — :class:`ObjectServiceDaemon`, the
   object side, including backend update pushes;
 * :mod:`repro.service.client` — :class:`SubjectServiceClient`, the
-  async subject SDK;
+  async subject SDK, on the simulator's subject-side tracker;
 * :mod:`repro.service.update_stream` — :class:`UpdateStreamPusher`,
   the backend's stop-and-wait push channel;
 * :mod:`repro.service.requester` — the socket base the client and the
-  pusher share, re-sending requests through the simulator's
+  pusher share, re-sending requests through a
   :class:`~repro.net.retry.Retransmissions` table;
 * :mod:`repro.service.chaos` — :class:`ChaosProxy` and friends, the
   simulator's :class:`~repro.net.faults.FaultSchedule` replayed against

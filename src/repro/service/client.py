@@ -7,16 +7,15 @@ QUE1 frame unicast to every endpoint: byte-identical frames, identical
 §IX-A accounting.  Every flight is one datagram (the largest, a QUE2 at
 strength 256, is about 1.2 KB).
 
-Recovery is the simulator's (docs/robustness.md).  QUE1 is **never**
+Recovery is the simulator's (docs/robustness.md): the same
+:class:`~repro.protocol.tracker.SubjectTracker` keeps the exchanges, so
+the client only carries frames and keeps time.  QUE1 is **never**
 retransmitted: objects silence duplicate nonces, so a lost phase 1
-waits for the next round's fresh QUE1.  QUE2 and RQUE go through a
-:class:`~repro.net.retry.Retransmissions` table, as in the simulator: re-sent
-byte-identically (the object's cached-RES2 and decoy-RRES paths answer
-duplicates safely) with backoff and seeded jitter, and each abandoned
+waits for the next round's fresh QUE1.  QUE2 and RQUE are re-sent
+byte-identically from the tracker's retry table (the object's cached-RES2
+and decoy-RRES paths answer duplicates safely), and each abandoned
 exchange counts **once** in :attr:`ClientStats.exchanges_given_up`.
-The client is its socket's protocol: a datagram feeds the open exchange
-with its sender directly, one loop timer covers every deadline, and
-each warm pass and each round awaits one future.
+One loop timer covers every deadline; each pass awaits one future.
 
 Warm rediscovery tries RQUE→RRES for every endpoint it holds a ticket
 for; any failure (lost RRES, decoy, rekeyed epoch) falls back to full
@@ -31,10 +30,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.backend.registration import SubjectCredentials
-from repro.net.retry import RetryPolicy
+from repro.net.retry import Retransmissions, RetryPolicy
 from repro.protocol.errors import MessageFormatError
-from repro.protocol.messages import Res1, Res1Level1, Res2, Rres, parse_message
+from repro.protocol.messages import parse_message
 from repro.protocol.subject import DiscoveredService, SubjectEngine
+from repro.protocol.tracker import SubjectTracker
 from repro.protocol.versions import Version
 from repro.service.requester import Addr, Requester
 
@@ -77,14 +77,18 @@ class SubjectServiceClient(Requester):
         """``on_frame(direction, raw, addr)`` taps every frame this
         client sends (``"tx"``) or consumes (``"rx"``) — the hook the
         live distinguisher experiments capture wire traffic with."""
-        super().__init__(retry if retry is not None else RetryPolicy(), seed)
-        self.engine = SubjectEngine(creds, version)
+        self.tracker = SubjectTracker(
+            SubjectEngine(creds, version),
+            Retransmissions(retry if retry is not None else RetryPolicy(), seed),
+        )
+        super().__init__(self.tracker.table)
+        self.engine = self.tracker.engine
+        #: endpoint -> object id discovered there (feeds warm resumption).
+        self.object_at: dict[Addr, str] = self.tracker.object_at
         self.phase1_timeout_s = phase1_timeout_s
         self.on_frame = on_frame
         self.stats = ClientStats()
-        #: endpoint -> object id discovered there (feeds warm resumption).
-        self.object_at: dict[Addr, str] = {}
-        #: What the current pass has settled, and the future it awaits.
+        #: What the current pass has found, and the future it awaits.
         self._found: dict[Addr, DiscoveredService] = {}
         self._done: asyncio.Future | None = None
 
@@ -121,9 +125,8 @@ class SubjectServiceClient(Requester):
                 break
             self.stats.rounds += 1
             self.engine.tick(self._loop.time())
-            raw = self.engine.start_round(group_id).to_bytes()
+            raw = self.tracker.start_round(pending, group_id).to_bytes()
             for addr in pending:
-                self._awaiting[addr] = Res1
                 self._send(addr, raw)
             # Phase 1 is never retransmitted: the next round's QUE1 is.
             self._deadline = self._loop.time() + self.phase1_timeout_s
@@ -145,68 +148,57 @@ class SubjectServiceClient(Requester):
 
     async def _resume_pass(self, addrs: list[Addr]) -> dict[Addr, DiscoveredService]:
         self.engine.tick(self._loop.time())
-        for addr in addrs:
-            object_id = self.object_at.get(addr)
-            rque = None if object_id is None else self.engine.start_resumption(object_id)
-            if rque is not None:
-                self.stats.resumptions += 1
-                self._awaiting[addr] = Rres
-                self._request(addr, rque.to_bytes())
+        for addr, rque in self.tracker.start_resumption(addrs):
+            self.stats.resumptions += 1
+            self._request(addr, rque.to_bytes())
         return await self._pass()
 
     # -- the open exchanges ---------------------------------------------------------
 
     async def _pass(self) -> dict[Addr, DiscoveredService]:
-        """Await every open exchange; returns the services they settled."""
+        """Await every open exchange; returns the services they found."""
         assert self._done is None, "one discovery pass at a time"
         self._found = {}
+        self._done = self._loop.create_future()
         try:
-            if self._awaiting:
-                self._done = self._loop.create_future()
-                self._rearm()
-                await self._done
+            self._settle()
+            self._rearm()
+            await self._done
             return self._found
         finally:
             self._done = self._deadline = None
-            self._awaiting.clear()
-            self.table.clear()
+            self.tracker.close()
 
     def datagram_received(self, data: bytes, addr) -> None:
         addr = (addr[0], addr[1])
-        expect = self._awaiting.get(addr)
-        if expect is None:
+        if not self.tracker.awaits(addr):
             return  # a reply that arrived after its exchange closed
         if self.on_frame is not None:
             self.on_frame("rx", data, addr)
         message = self._parse(data)
-        peer_key = f"{addr[0]}:{addr[1]}"
-        if expect is Res1 and isinstance(message, Res1Level1):
-            self._finish(addr, self.engine.handle_res1_level1(message, peer_key))
-        elif expect is Res1 and isinstance(message, Res1):
-            que2 = self.engine.handle_res1(message, peer_key)
-            if que2 is None:
-                self._finish(addr, None)
-            else:
-                self._awaiting[addr] = Res2
+        if message is not None:
+            que2 = self.tracker.receive(message, addr)
+            if que2 is not None:
                 self._request(addr, que2.to_bytes())
-        elif expect is Res2 and isinstance(message, Res2):
-            self._finish(addr, self.engine.handle_res2(message, peer_key))
-        elif expect is Rres and isinstance(message, Rres):
-            self._finish(addr, self.engine.handle_rres(message, self.object_at[addr]))
-        # Anything else is a stale or duplicated frame from an earlier
-        # exchange (e.g. a duplicated RES1 while RES2 is awaited): ignore.
+        self._settle()
 
     def error_received(self, exc: Exception) -> None:
         self.stats.wire_errors += 1
 
-    def _finish(self, addr: Addr, service: DiscoveredService | None) -> None:
-        del self._awaiting[addr]
-        self.table.settle(addr)
-        if service is not None:
-            self._found[addr] = service
-            self.object_at[addr] = service.object_id
-        if not self._awaiting:
-            self._done.set_result(None)
+    def _settle(self) -> None:
+        """Take what settled; end the pass once nothing is left to await."""
+        for addr, service in self.tracker.collect():
+            if service is not None:
+                self._found[addr] = service
+        done = self._done
+        if done is not None and not done.done() and not self.tracker.waiting(
+            phase_one=self._deadline is not None
+        ):
+            done.set_result(None)
+
+    def _fire(self, when: float) -> None:
+        super()._fire(when)
+        self._settle()
 
     def _retransmit(self, addr: Addr, raw: bytes) -> None:
         self.stats.retransmissions += 1
@@ -214,11 +206,6 @@ class SubjectServiceClient(Requester):
 
     def _give_up(self, addr: Addr) -> None:
         self.stats.exchanges_given_up += 1
-        self._finish(addr, None)
-
-    def _expire(self) -> None:
-        for addr in [a for a, expect in self._awaiting.items() if expect is Res1]:
-            self._finish(addr, None)
 
     # -- plumbing -------------------------------------------------------------------
 

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import asyncio
+import math
 
-from repro.net.retry import Retransmissions, RetryPolicy
+from repro.net.retry import Retransmissions
 
 Addr = tuple[str, int]
 
@@ -12,19 +13,17 @@ Addr = tuple[str, int]
 class Requester(asyncio.DatagramProtocol):
     """A UDP socket (its own protocol) whose requests are re-sent until answered.
 
-    It keeps the lifecycle, one :class:`~repro.net.retry.Retransmissions`
-    table and one loop timer, armed at the earliest of the table's
-    deadlines and the host's own ``_deadline``.  A subclass handles
+    It keeps the lifecycle and one loop timer, armed at the earliest of
+    its :class:`~repro.net.retry.Retransmissions` table's deadlines and
+    the host's own ``_deadline``.  A subclass handles
     ``datagram_received`` and settles what is answered; the timer calls
-    its ``_retransmit``, ``_give_up`` and ``_expire`` hooks.
+    its ``_retransmit`` and ``_give_up`` hooks.
     """
 
-    def __init__(self, retry: RetryPolicy, seed: int) -> None:
-        self.table = Retransmissions(retry, seed)
-        #: peer -> what the subclass's open exchange with it awaits.
-        self._awaiting: dict[Addr, object] = {}
-        #: A deadline of the host's own (the client's phase 1); when it
-        #: passes, the timer calls :meth:`_expire`.
+    def __init__(self, table: Retransmissions) -> None:
+        self.table = table
+        #: A deadline of the host's own (the client's phase 1); the timer
+        #: clears it once it passes.
         self._deadline: float | None = None
         self._timer: asyncio.TimerHandle | None = None
         self._transport: asyncio.DatagramTransport | None = None
@@ -39,11 +38,10 @@ class Requester(asyncio.DatagramProtocol):
 
     async def close(self) -> None:
         """Close the socket; every exchange still open ends unanswered."""
-        self._deadline = None
-        self._expire()
-        for addr in list(self._awaiting):
-            self._give_up(addr)
-        self._rearm()  # nothing left in flight: cancels the timer
+        if self._timer is not None:
+            self._timer.cancel()
+        # Past every deadline: each request in flight gives up.
+        self._fire(math.inf)
         if self._transport is not None:
             self._transport.close()
             self._transport = None
@@ -76,7 +74,7 @@ class Requester(asyncio.DatagramProtocol):
     def _fire(self, when: float) -> None:
         self._timer = None
         # call_at may run a callback up to one clock tick early.
-        now = max(self._loop.time(), when)
+        now = when if self._loop is None else max(self._loop.time(), when)
         resends, gave_up = self.table.due(now)
         for addr, raw in resends:
             self._retransmit(addr, raw)
@@ -84,8 +82,4 @@ class Requester(asyncio.DatagramProtocol):
             self._give_up(addr)
         if self._deadline is not None and now >= self._deadline:
             self._deadline = None
-            self._expire()
         self._rearm()
-
-    def _expire(self) -> None:
-        pass

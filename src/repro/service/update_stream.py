@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 from repro.backend.updatewire import UpdateMessage
 from repro.net.faults import FaultSchedule
-from repro.net.retry import RetryPolicy
+from repro.net.retry import Retransmissions, RetryPolicy
 from repro.service.framing import MAX_DATAGRAM, FramingError, parse_ack
 from repro.service.requester import Addr, Requester
 
@@ -64,7 +64,9 @@ class UpdateStreamPusher(Requester):
         """``schedule`` + ``now_fn`` attach the harness's outage windows
         (:meth:`ServiceChaosHarness._now <repro.service.chaos.ServiceChaosHarness>`);
         without them the backend is always up."""
-        super().__init__(retry, seed)
+        super().__init__(Retransmissions(retry, seed))
+        #: recipient -> (sequence, future) of its one push in flight.
+        self._awaiting: dict[Addr, tuple[int, asyncio.Future]] = {}
         self.schedule = schedule
         self._now_fn = now_fn
         self.stats: Counter = Counter()

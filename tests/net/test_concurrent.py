@@ -1,9 +1,14 @@
 """Concurrent multi-subject discovery over one shared channel."""
 
+from collections import Counter
+
 import pytest
 
 from repro.experiments.concurrent_subjects import build_floor, measure
-from repro.net.concurrent import simulate_concurrent_discovery
+from repro.experiments.fault_recovery import RECOVERY, RECOVERY_ROUNDS
+from repro.net.faults import Fault, FaultKind, FaultSchedule, burst_loss_schedule
+from repro.net.run import simulate_concurrent_discovery, simulate_discovery
+from repro.protocol.messages import Que2, Res2
 
 
 class TestConcurrentDiscovery:
@@ -72,7 +77,6 @@ class TestConcurrentDiscovery:
         """Every subject gets her own variant payload — no cross-session
         bleed when an object serves many subjects at once."""
         from repro.backend import Backend
-        from repro.net.concurrent import simulate_concurrent_discovery
 
         backend = Backend()
         a = backend.register_subject("con-a", {"position": "staff"})
@@ -85,3 +89,55 @@ class TestConcurrentDiscovery:
         # run both subjects concurrently against the same engine instance
         timeline = simulate_concurrent_discovery([a, b], [obj])
         assert timeline.discovered_counts == {"con-a": 1, "con-b": 1}
+
+
+class TestSharedDriver:
+    """The multi-subject path is simulate_discovery's driver: faults,
+    retries, rounds and the cached RES2 come with it."""
+
+    def test_one_subject_equals_simulate_discovery(self):
+        subjects, objects = build_floor(1, 6)
+        alone = simulate_discovery(subjects[0], objects, seed=2)
+        concurrent = simulate_concurrent_discovery(subjects, objects, seed=2)
+        assert concurrent.makespan == alone.total_time == pytest.approx(0.44138)
+
+    def test_burst_loss_recovers_every_subject(self):
+        subjects, objects = build_floor(3, 6)
+        que2s: Counter = Counter()
+
+        def tap(_t, src, dst, message):
+            if isinstance(message, Que2):
+                que2s[(src, dst, message.to_bytes())] += 1
+
+        timeline = simulate_concurrent_discovery(
+            subjects, objects, seed=3, retry=RECOVERY, max_rounds=RECOVERY_ROUNDS,
+            faults=burst_loss_schedule(0.2, seed=3), on_delivery=tap,
+        )
+        assert timeline.discovered_counts == {s.subject_id: 6 for s in subjects}
+        assert len(timeline.subject_completion) == 3
+        # No duplication fault here: a QUE2 delivered twice was re-sent.
+        assert max(que2s.values()) > 1
+
+    def test_duplicated_que2_gets_the_cached_res2(self):
+        subjects, objects = build_floor(2, 3)
+        link = (subjects[0].subject_id, objects[0].object_id)
+        schedule = FaultSchedule(
+            (Fault(FaultKind.DUPLICATION, severity=1.0, links=(link,)),)
+        )
+        que2s: Counter = Counter()
+        res2s: Counter = Counter()
+
+        def tap(_t, src, dst, message):
+            if (src, dst) == link and isinstance(message, Que2):
+                que2s[message.to_bytes()] += 1
+            if (dst, src) == link and isinstance(message, Res2):
+                res2s[message.to_bytes()] += 1
+
+        timeline = simulate_concurrent_discovery(
+            subjects, objects, faults=schedule, on_delivery=tap
+        )
+        assert timeline.discovered_counts == {s.subject_id: 3 for s in subjects}
+        assert list(que2s.values()) == [2]
+        # Both QUE2 copies were answered (and each RES2 duplicated in
+        # turn), all with the same bytes.
+        assert list(res2s.values()) == [4]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.concurrent import ConcurrentTimeline
+from repro.net.run import ConcurrentTimeline
 from repro.net.topology import shared_floor
 
 
