@@ -15,18 +15,18 @@ def test_bench_nominal_accounting(benchmark):
 
 def test_bench_full_exchange_capture(benchmark):
     """The full 4-way handshake, wall time, plus actual wire sizes."""
-    que1, res1, que2, res2 = benchmark(capture_exchange)
+    capture = benchmark(capture_exchange)
     benchmark.extra_info["actual_bytes"] = {
-        "QUE1": len(que1.to_bytes()),
-        "RES1": len(res1.to_bytes()),
-        "QUE2": len(que2.to_bytes()),
-        "RES2": len(res2.to_bytes()),
+        "QUE1": len(capture.que1.to_bytes()),
+        "RES1": len(capture.res1.to_bytes()),
+        "QUE2": len(capture.que2.to_bytes()),
+        "RES2": len(capture.res2.to_bytes()),
     }
 
 
 def test_bench_message_parse(benchmark):
     """Wire-format parse throughput (objects parse every QUE2 they get)."""
-    _, _, que2, _ = capture_exchange()
+    que2 = capture_exchange().que2
     raw = que2.to_bytes()
     parsed = benchmark(parse_message, raw)
     assert parsed == que2

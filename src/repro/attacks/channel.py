@@ -8,9 +8,10 @@ built on this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
+from repro.protocol.discovery import DiscoveryResult, _drive
 from repro.protocol.messages import Que1, Que2, Res1, Res1Level1, Res2
 from repro.protocol.object import ObjectEngine
 from repro.protocol.subject import SubjectEngine
@@ -19,10 +20,17 @@ from repro.protocol.subject import SubjectEngine
 #: original, to pass it through unchanged).
 Tamper = Callable[[str, object], object]
 
+#: The flights of one exchange, in the order they go on the air.
+_FLIGHTS = ("que1", "res1", "que2", "res2")
+
 
 @dataclass
 class CapturedExchange:
-    """Everything visible on the air during one discovery handshake."""
+    """Everything visible on the air during one discovery handshake.
+
+    Flights are named by their place in the exchange, not by their type:
+    ``res1`` is whatever the object's first reply became in flight.
+    """
 
     que1: Que1 | None = None
     res1: Res1 | Res1Level1 | None = None
@@ -30,12 +38,22 @@ class CapturedExchange:
     res2: Res2 | None = None
     #: What the subject concluded (DiscoveredService or None).
     outcome: object = None
-    notes: list[str] = field(default_factory=list)
+
+    @property
+    def notes(self) -> list[str]:
+        """Where the exchange stopped short, read off the captured flights."""
+        if self.que1 is not None and self.res1 is None:
+            return ["object stayed silent after QUE1"]
+        if self.res1 is not None and self.que2 is None and not isinstance(self.res1, Res1Level1):
+            return ["subject aborted after RES1"]
+        if self.que2 is not None and self.res2 is None:
+            return ["object stayed silent after QUE2"]
+        return []
 
     def wire_bytes(self) -> dict[str, bytes]:
         """The raw captured frames (an eavesdropper's transcript)."""
         out = {}
-        for name in ("que1", "res1", "que2", "res2"):
+        for name in _FLIGHTS:
             message = getattr(self, name)
             if message is not None:
                 out[name] = message.to_bytes()
@@ -48,38 +66,20 @@ def run_exchange(
     tamper: Tamper | None = None,
     group_id: str | None = None,
 ) -> CapturedExchange:
-    """One full discovery exchange through the recording channel."""
+    """One full discovery exchange through the recording channel: the
+    in-memory round of :mod:`repro.protocol.discovery`, with every flight
+    passed through *tamper* and captured as it is delivered."""
     passthrough: Tamper = tamper or (lambda _name, message: message)
     capture = CapturedExchange()
-    peer_s = subject.creds.subject_id
-    peer_o = obj.creds.object_id
+    names = iter(_FLIGHTS)
 
-    que1 = passthrough("que1", subject.start_round(group_id))
-    capture.que1 = que1
-    res1 = obj.handle_que1(que1, peer_s)
-    if res1 is None:
-        capture.notes.append("object stayed silent after QUE1")
-        return capture
-    res1 = passthrough("res1", res1)
-    capture.res1 = res1
+    def on_flight(message: object) -> object:
+        name = next(names)
+        message = passthrough(name, message)
+        setattr(capture, name, message)
+        return message
 
-    if isinstance(res1, Res1Level1):
-        capture.outcome = subject.handle_res1_level1(res1, peer_o)
-        return capture
-
-    que2 = subject.handle_res1(res1, peer_o)
-    if que2 is None:
-        capture.notes.append("subject aborted after RES1")
-        return capture
-    que2 = passthrough("que2", que2)
-    capture.que2 = que2
-
-    res2 = obj.handle_que2(que2, peer_s)
-    if res2 is None:
-        capture.notes.append("object stayed silent after QUE2")
-        return capture
-    res2 = passthrough("res2", res2)
-    capture.res2 = res2
-
-    capture.outcome = subject.handle_res2(res2, peer_o)
+    result = DiscoveryResult()
+    _drive(subject, {obj.creds.object_id: obj}, result, group_id, on_flight=on_flight)
+    capture.outcome = next(iter(result.services), None)
     return capture

@@ -27,19 +27,20 @@ def replay_attack(
     target: ObjectEngine,
     subject_peer_id: str,
 ) -> ReplayResult:
-    """Replay the captured frames at the object that produced them."""
+    """Replay the captured frames at the object that produced them,
+    through its one router (``ObjectEngine.receive``), as any wire would."""
     assert capture.que1 is not None and capture.que2 is not None
 
     # 1. Duplicate QUE1: must be silently dropped (duplicate R_S).
     before = target.errors_recorded
-    res1_again = target.handle_que1(capture.que1, subject_peer_id)
+    res1_again = target.receive(capture.que1, subject_peer_id)
     que1_dropped = res1_again is None and any(
         isinstance(e, FreshnessError) for e in target.errors_since(before)
     )
 
     # 2. Replayed QUE2 on the (now closed) original session.
     before = target.errors_recorded
-    res2_again = target.handle_que2(capture.que2, subject_peer_id)
+    res2_again = target.receive(capture.que2, subject_peer_id)
     que2_dropped = res2_again is None and any(
         isinstance(e, SessionError) for e in target.errors_since(before)
     )
@@ -52,10 +53,10 @@ def replay_attack(
 
     attacker_peer = subject_peer_id  # she spoofs the same source address
     fresh = Que1(fresh_nonce())
-    opened = target.handle_que1(fresh, attacker_peer)
+    opened = target.receive(fresh, attacker_peer)
     spliced = None
     if opened is not None:
-        spliced = target.handle_que2(capture.que2, attacker_peer)
+        spliced = target.receive(capture.que2, attacker_peer)
 
     return ReplayResult(
         replayed_que1_answered=not que1_dropped,

@@ -7,22 +7,18 @@ real exchange from the live engines, and prints both side by side.
 from __future__ import annotations
 
 from repro.analysis.overhead import actual_sizes, exchange_totals, paper_accounting
+from repro.attacks.channel import CapturedExchange, run_exchange
 from repro.experiments.common import Table, make_level_fleet
 from repro.protocol.object import ObjectEngine
 from repro.protocol.subject import SubjectEngine
 
 
-def capture_exchange(level: int = 2):
-    """Run one handshake and return the four raw messages."""
+def capture_exchange(level: int = 2) -> CapturedExchange:
+    """Run one handshake and capture its four raw messages."""
     subject_creds, object_creds, _ = make_level_fleet(1, level)
-    subject = SubjectEngine(subject_creds)
-    obj = ObjectEngine(object_creds[0])
-    que1 = subject.start_round()
-    res1 = obj.handle_que1(que1, subject_creds.subject_id)
-    que2 = subject.handle_res1(res1, object_creds[0].object_id)
-    res2 = obj.handle_que2(que2, subject_creds.subject_id)
-    assert res2 is not None, "handshake failed during capture"
-    return que1, res1, que2, res2
+    capture = run_exchange(SubjectEngine(subject_creds), ObjectEngine(object_creds[0]))
+    assert capture.res2 is not None, "handshake failed during capture"
+    return capture
 
 
 def run() -> Table:
@@ -33,8 +29,8 @@ def run() -> Table:
     for budget in paper_accounting():
         table.add(budget.name, budget.nominal, budget.composition)
     totals = exchange_totals()
-    que1, res1, que2, res2 = capture_exchange()
-    actual = actual_sizes(que1, res1, que2, res2)
+    capture = capture_exchange()
+    actual = actual_sizes(capture.que1, capture.res1, capture.que2, capture.res2)
     table.notes = (
         f"Exchange totals: Level 1 = {totals['level1']} B (paper: 228), "
         f"Level 2/3 = {totals['level23']} B (paper: 2088). "

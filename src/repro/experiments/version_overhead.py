@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from repro.attacks.channel import run_exchange
 from repro.crypto.costmodel import NEXUS6, RASPBERRY_PI3
-from repro.crypto.meter import metered
 from repro.experiments.common import Table, make_level_fleet
+from repro.protocol.discovery import run_round
 from repro.protocol.object import ObjectEngine
 from repro.protocol.subject import SubjectEngine
 from repro.protocol.versions import Version
@@ -23,31 +23,19 @@ def measure_version(version: Version, level: int = 3) -> dict[str, float]:
     subject_creds, object_creds, _ = make_level_fleet(1, level)
     subject = SubjectEngine(subject_creds, version)
     obj = ObjectEngine(object_creds[0], version)
-    run_exchange(subject, obj)  # warm-up: chain caches on both sides
+    # Warm-up: chain caches on both sides.  QUE2/RES2 lengths are
+    # constant per version, so the warm-up's frames give them.
+    capture = run_exchange(subject, obj)
 
     subject2 = SubjectEngine(subject_creds, version)
     subject2.verifier = subject.verifier  # keep the warmed cache
-    obj._sessions.clear()
-    with metered() as subject_meter:
-        que1 = subject2.start_round()
-    with metered() as object_meter:
-        res1 = obj.handle_que1(que1, subject_creds.subject_id)
-    with metered() as subject_meter2:
-        que2 = subject2.handle_res1(res1, object_creds[0].object_id)
-    with metered() as object_meter2:
-        res2 = obj.handle_que2(que2, subject_creds.subject_id)
-    with metered() as subject_meter3:
-        outcome = subject2.handle_res2(res2, object_creds[0].object_id)
-    assert outcome is not None
-
-    subject_meter.merge(subject_meter2)
-    subject_meter.merge(subject_meter3)
-    object_meter.merge(object_meter2)
+    result = run_round(subject2, {obj.creds.object_id: obj})
+    [outcome] = result.services
     return {
-        "que2_bytes": len(que2.to_bytes()),
-        "res2_bytes": len(res2.to_bytes()),
-        "subject_ms": NEXUS6.meter_cost_ms(subject_meter),
-        "object_ms": RASPBERRY_PI3.meter_cost_ms(object_meter),
+        "que2_bytes": len(capture.que2.to_bytes()),
+        "res2_bytes": len(capture.res2.to_bytes()),
+        "subject_ms": NEXUS6.meter_cost_ms(result.subject_ops),
+        "object_ms": RASPBERRY_PI3.meter_cost_ms(result.object_ops[obj.creds.object_id]),
         "level_seen": outcome.level_seen,
     }
 

@@ -2,20 +2,24 @@
 
 Runs the full Argus exchange between one subject engine and many object
 engines directly, which is what the unit/integration tests, the attack
-harness, and the computation-cost benchmarks (Fig. 6(b)) use. The
-discrete-event simulator (:mod:`repro.net`) drives the *same* engines for
-the discovery-time experiments (Fig. 6(e)–(h)).
+harness, and the computation-cost benchmarks (Fig. 6(b)) use.  The wire
+here is a queue of flights: like the simulator (:mod:`repro.net`, Fig.
+6(e)–(h)) and the live client, it hands each reply to a
+:class:`~repro.protocol.tracker.SubjectTracker` and each request to
+``ObjectEngine.receive``, so one state machine runs on every host.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.backend.registration import ObjectCredentials, SubjectCredentials
 from repro.crypto.meter import OpMeter, metered
-from repro.protocol.messages import Res1, Res1Level1
 from repro.protocol.object import ObjectEngine
 from repro.protocol.subject import DiscoveredService, SubjectEngine
+from repro.protocol.tracker import SubjectTracker
 from repro.protocol.versions import Version
 
 
@@ -46,43 +50,7 @@ def run_round(
 ) -> DiscoveryResult:
     """One QUE1 broadcast + per-object phase 2, fully in memory."""
     result = result or DiscoveryResult()
-
-    with metered() as subject_meter:
-        que1 = subject.start_round(group_id)
-    result.subject_ops.merge(subject_meter)
-
-    # Phase 1: broadcast; collect each object's RES1.
-    phase2: list[tuple[str, ObjectEngine, Res1]] = []
-    for object_id, engine in objects.items():
-        with metered() as object_meter:
-            res1 = engine.handle_que1(que1, subject.creds.subject_id)
-        result.object_ops.setdefault(object_id, OpMeter()).merge(object_meter)
-        if isinstance(res1, Res1Level1):
-            with metered() as subject_meter:
-                service = subject.handle_res1_level1(res1, object_id)
-            result.subject_ops.merge(subject_meter)
-            if service is not None:
-                result.services.append(service)
-        elif isinstance(res1, Res1):
-            phase2.append((object_id, engine, res1))
-
-    # Phase 2: per-object QUE2 -> RES2.
-    for object_id, engine, res1 in phase2:
-        with metered() as subject_meter:
-            que2 = subject.handle_res1(res1, object_id)
-        result.subject_ops.merge(subject_meter)
-        if que2 is None:
-            continue
-        with metered() as object_meter:
-            res2 = engine.handle_que2(que2, subject.creds.subject_id)
-        result.object_ops[object_id].merge(object_meter)
-        if res2 is None:
-            continue
-        with metered() as subject_meter:
-            service = subject.handle_res2(res2, object_id)
-        result.subject_ops.merge(subject_meter)
-        if service is not None:
-            result.services.append(service)
+    _drive(subject, objects, result, group_id)
     return result
 
 
@@ -101,32 +69,62 @@ def run_warm_round(
     fall back to the full 4-way handshake via :func:`run_round`.
     """
     result = result or DiscoveryResult()
-
-    fallback: dict[str, ObjectEngine] = {}
-    for object_id, engine in objects.items():
-        if not subject.has_ticket(object_id):
-            fallback[object_id] = engine
-            continue
-        with metered() as subject_meter:
-            rque = subject.start_resumption(object_id)
-        result.subject_ops.merge(subject_meter)
-        assert rque is not None  # has_ticket() held and nothing raced us
-        with metered() as object_meter:
-            rres = engine.handle_rque(rque, subject.creds.subject_id)
-        result.object_ops.setdefault(object_id, OpMeter()).merge(object_meter)
-        service = None
-        if rres is not None:
-            with metered() as subject_meter:
-                service = subject.handle_rres(rres, object_id)
-            result.subject_ops.merge(subject_meter)
-        if service is not None:
-            result.services.append(service)
-        else:
-            fallback[object_id] = engine
-
+    resumed = _drive(subject, objects, result, resume=True)
+    fallback = {oid: engine for oid, engine in objects.items() if oid not in resumed}
     if fallback:
         run_round(subject, fallback, group_id, result)
     return result
+
+
+def _drive(
+    subject: SubjectEngine,
+    objects: dict[str, ObjectEngine],
+    result: DiscoveryResult,
+    group_id: str | None = None,
+    resume: bool = False,
+    on_flight: Callable[[object], object] = lambda message: message,
+) -> set[str]:
+    """The in-memory wire: open a round (or, with *resume*, an RQUE to
+    each ticket holder) through a :class:`SubjectTracker`, carry each
+    request to its object and each reply back to the tracker, first in
+    first out, so a QUE2 goes out after the flights already queued.
+
+    Each side's crypto is metered apart into *result*, and the services
+    found join it; returns the ids of the objects found.  *on_flight*
+    sees, and may replace, every frame before it is delivered.
+    """
+    # Imported here: repro.net imports this module (net.run -> run_round).
+    from repro.net.retry import Retransmissions, RetryPolicy
+
+    # Nothing is sent through the table on this wire, so it stays empty.
+    tracker = SubjectTracker(subject, Retransmissions(RetryPolicy()))
+    with metered() as subject_meter:
+        if resume:
+            flights = tracker.start_resumption(objects)
+        else:
+            que1 = tracker.start_round(objects, group_id)
+            flights = [(object_id, que1) for object_id in objects]
+    result.subject_ops.merge(subject_meter)
+
+    subject_id = subject.creds.subject_id
+    queue = deque(flights)
+    while queue:
+        object_id, request = queue.popleft()
+        request = on_flight(request)
+        with metered() as object_meter:
+            reply = objects[object_id].receive(request, subject_id)
+        result.object_ops.setdefault(object_id, OpMeter()).merge(object_meter)
+        if reply is None:
+            continue
+        reply = on_flight(reply)
+        with metered() as subject_meter:
+            que2 = tracker.receive(reply, object_id)
+        result.subject_ops.merge(subject_meter)
+        if que2 is not None:
+            queue.append((object_id, que2))
+    found = [service for _, service in tracker.collect() if service is not None]
+    result.services.extend(found)
+    return {service.object_id for service in found}
 
 
 def discover(

@@ -2,15 +2,19 @@
 
 A subject runs one state machine per round (§V–VI): QUE1 → RES1 → QUE2
 → RES2, or RQUE → RRES on a return visit.  :class:`SubjectTracker` keeps
-it around one :class:`~repro.protocol.subject.SubjectEngine`, so the
-simulator and the live client only carry frames and keep time.  Every
-reply goes to the engine's handler for its type; a flight meant for an
-object is a ``MessageFormatError``, never answered.  An exchange settles
-when the engine finds its service or rejects the awaited reply; a
-give-up in the :class:`~repro.net.retry.Retransmissions` table only
-stops the re-sends, so a late answer counts until the next round.
-Settlements leave the table when the host collects them: the client
-after each frame, the simulator once the subject's CPU has processed it.
+it around one :class:`~repro.protocol.subject.SubjectEngine`, so every
+host — the simulator, the live client and the in-memory wire of
+:mod:`repro.protocol.discovery` — only carries frames (and, over a
+network, keeps time).  Every reply goes to the engine's handler for its
+type; a flight meant for an object is a ``MessageFormatError``, never
+answered.  An exchange settles when the engine finds its service or
+rejects the awaited reply; a give-up in the
+:class:`~repro.net.retry.Retransmissions` table only stops the re-sends,
+so a late answer counts until the next round.  Settlements leave the
+table when the host collects them: the client after each frame, the
+simulator once the subject's CPU has processed it, the in-memory wire
+once its queue runs dry (it sends nothing through the table, which
+stays empty).
 """
 
 from __future__ import annotations

@@ -26,15 +26,14 @@ class TestOverheadAccounting:
         assert deltas["delta"] == 32
 
     def test_actual_capture_has_all_messages(self):
-        que1, res1, que2, res2 = capture_exchange()
-        sizes = overhead.actual_sizes(que1, res1, que2, res2)
+        capture = capture_exchange()
+        sizes = overhead.actual_sizes(capture.que1, capture.res1, capture.que2, capture.res2)
         assert set(sizes) == {"QUE1", "RES1", "QUE2", "RES2"}
         assert all(v > 0 for v in sizes.values())
 
     def test_actual_que1_near_nominal(self):
-        que1, *_ = capture_exchange()
         # 1 type byte + 28-byte nonce
-        assert len(que1.to_bytes()) == 29
+        assert len(capture_exchange().que1.to_bytes()) == 29
 
 
 class TestTimingModel:

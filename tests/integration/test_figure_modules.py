@@ -55,10 +55,10 @@ class TestFig6dMeasure:
 
 class TestCaptureExchange:
     def test_level3_capture(self):
-        que1, res1, que2, res2 = msg_overhead.capture_exchange(level=3)
-        assert que2.mac_s3 is not None
-        assert len(que1.to_bytes()) == 29
+        capture = msg_overhead.capture_exchange(level=3)
+        assert capture.que2.mac_s3 is not None
+        assert len(capture.que1.to_bytes()) == 29
 
     def test_level2_capture_complete(self):
-        messages = msg_overhead.capture_exchange(level=2)
-        assert all(m is not None for m in messages)
+        capture = msg_overhead.capture_exchange(level=2)
+        assert all(m is not None for m in (capture.que1, capture.res1, capture.que2, capture.res2))

@@ -1,13 +1,15 @@
-"""One subject-side router: the simulator and the client agree.
+"""One subject-side router: the simulator, the client and the in-memory
+wire agree.
 
-Both hosts hand every parsed flight to ``SubjectTracker.receive``, so a
+Every host hands each parsed flight to ``SubjectTracker.receive``, so a
 flight meant for an object (QUE1, QUE2 or RQUE) reflected at a subject
-gets the same treatment on either wire: one error record in the engine
+gets the same treatment on any wire: one error record in the engine
 and no answer.  The mirror of ``test_object_routing.py``.
 """
 
 import pytest
 
+from repro.attacks.channel import run_exchange
 from repro.crypto.costmodel import NEXUS6, RASPBERRY_PI3
 from repro.crypto.primitives import fresh_nonce
 from repro.net.node import GroundNetwork, SimNode
@@ -73,3 +75,21 @@ def test_client_records_one_error_and_sends_nothing(level2_fleet, kind):
     assert client.stats.frames_rx == 1
     assert client.stats.frames_tx == 0
     assert client.tracker.awaits(ADDR)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_in_memory_wire_records_one_error_and_sends_nothing(level2_fleet, kind):
+    subject, objects, _ = level2_fleet
+    engine = SubjectEngine(subject)
+    reflected = _flight(kind, subject, objects[0])
+    mark = engine.errors_recorded
+
+    capture = run_exchange(
+        engine, ObjectEngine(objects[0]),
+        tamper=lambda name, message: reflected if name == "res1" else message,
+    )
+
+    _assert_one_reflection_error(engine, mark, kind)
+    assert capture.res1 is reflected
+    assert capture.que2 is None
+    assert capture.outcome is None
