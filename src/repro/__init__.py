@@ -27,9 +27,10 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for
 paper-vs-measured results.
 """
 
+import importlib
+
 from repro.attributes import AttributeSet, parse_predicate
 from repro.backend import Backend, ChurnEngine
-from repro.net import simulate_discovery
 from repro.protocol import (
     DiscoveredService,
     DiscoveryResult,
@@ -40,6 +41,10 @@ from repro.protocol import (
 )
 
 __version__ = "1.0.0"
+
+#: names imported on first access (PEP 562), so the live service path,
+#: which imports this package, never loads the simulator
+_EXPORTS = {"simulate_discovery": "repro.net.run"}
 
 __all__ = [
     "AttributeSet",
@@ -55,3 +60,16 @@ __all__ = [
     "simulate_discovery",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -10,11 +10,17 @@ the restored state).
 Private keys serialize as unencrypted PKCS8 PEM: the snapshot's at-rest
 protection is a deployment concern outside the protocol (§VII threat
 model assumes well-protected key storage).
+
+A restored backend decodes each issued credential the first time it is
+read (:class:`_SnapshotCredentials`): an object host that loads the
+campus snapshot to serve its own objects never parses the subjects'
+keys, chains and profiles.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Iterator, MutableMapping
 from typing import Any
 
 from repro.attributes.model import AttributeSet
@@ -27,7 +33,7 @@ from repro.backend.registration import (
     ObjectVariant,
     SubjectCredentials,
 )
-from repro.crypto.ecdsa import SigningKey
+from repro.crypto.ecdsa import SigningKey, VerifyingKey
 from repro.pki.certificate import CertificateChain
 from repro.pki.profile import Profile
 
@@ -36,6 +42,49 @@ FORMAT_VERSION = 1
 
 class PersistenceError(Exception):
     pass
+
+
+Credentials = SubjectCredentials | ObjectCredentials
+
+
+class _SnapshotCredentials(MutableMapping):
+    """``issued_subjects`` / ``issued_objects`` of a restored backend.
+
+    Keeps each snapshot record as read and decodes it into credentials
+    the first time it is read (``[id]``, ``get``, ``values``, ``items``,
+    and ``pop``, which returns it); membership tests, ``len``, iteration
+    and ``del`` decode nothing.  A corrupted record raises at that first
+    read.  Iteration order is the snapshot's; a decoded record keeps its
+    place.
+    """
+
+    def __init__(
+        self, records: dict[str, dict], decode: Callable[[str, dict], Credentials]
+    ) -> None:
+        #: id -> credentials, or the snapshot record not yet decoded
+        self._items: dict[str, Credentials | dict] = dict(records)
+        self._decode = decode
+
+    def __getitem__(self, key: str) -> Credentials:
+        value = self._items[key]
+        if isinstance(value, dict):
+            value = self._items[key] = self._decode(key, value)
+        return value
+
+    def __setitem__(self, key: str, value: Credentials) -> None:
+        self._items[key] = value
+
+    def __delitem__(self, key: str) -> None:
+        del self._items[key]
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._items
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._items)
+
+    def __len__(self) -> int:
+        return len(self._items)
 
 
 # -- export ---------------------------------------------------------------------
@@ -223,18 +272,23 @@ def import_backend(snapshot: dict[str, Any]) -> Backend:
         sid: bytes.fromhex(h) for sid, h in snapshot["coverup_keys"].items()
     }
 
-    backend.issued_subjects = {
-        sid: _import_subject_creds(sid, entry, backend)
-        for sid, entry in snapshot["issued_subjects"].items()
-    }
-    backend.issued_objects = {
-        oid: _import_object_creds(oid, entry, backend)
-        for oid, entry in snapshot["issued_objects"].items()
-    }
+    # The decoders hold the admin key, not the backend: a caller that
+    # keeps only ``issued_objects`` does not keep the whole backend alive.
+    admin_public = backend.admin_public
+    backend.issued_subjects = _SnapshotCredentials(
+        snapshot["issued_subjects"],
+        lambda sid, entry: _import_subject_creds(sid, entry, admin_public),
+    )
+    backend.issued_objects = _SnapshotCredentials(
+        snapshot["issued_objects"],
+        lambda oid, entry: _import_object_creds(oid, entry, admin_public),
+    )
     return backend
 
 
-def _import_subject_creds(subject_id: str, entry: dict, backend: Backend) -> SubjectCredentials:
+def _import_subject_creds(
+    subject_id: str, entry: dict, admin_public: VerifyingKey
+) -> SubjectCredentials:
     return SubjectCredentials(
         subject_id=subject_id,
         strength=entry["strength"],
@@ -243,11 +297,13 @@ def _import_subject_creds(subject_id: str, entry: dict, backend: Backend) -> Sub
         profile=Profile.from_bytes(bytes.fromhex(entry["profile_hex"])),
         group_keys={gid: bytes.fromhex(h) for gid, h in entry["group_keys"].items()},
         coverup_key=bytes.fromhex(entry["coverup_hex"]),
-        admin_public=backend.admin_public,
+        admin_public=admin_public,
     )
 
 
-def _import_object_creds(object_id: str, entry: dict, backend: Backend) -> ObjectCredentials:
+def _import_object_creds(
+    object_id: str, entry: dict, admin_public: VerifyingKey
+) -> ObjectCredentials:
     return ObjectCredentials(
         object_id=object_id,
         level=entry["level"],
@@ -270,7 +326,7 @@ def _import_object_creds(object_id: str, entry: dict, backend: Backend) -> Objec
             for gid, v in entry["level3_variants"].items()
         },
         revoked_subjects=set(entry["revoked_subjects"]),
-        admin_public=backend.admin_public,
+        admin_public=admin_public,
     )
 
 

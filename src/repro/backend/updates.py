@@ -139,7 +139,9 @@ class ChurnEngine:
             notified_objects |= set(rekey.notified_objects)
 
         self.backend.database.remove_subject(subject_id)
-        self.backend.issued_subjects.pop(subject_id, None)
+        # Not pop: on a restored backend, pop decodes the record it returns.
+        if subject_id in self.backend.issued_subjects:
+            del self.backend.issued_subjects[subject_id]
         report = UpdateReport(
             operation="remove_subject",
             target=subject_id,
@@ -194,7 +196,8 @@ class ChurnEngine:
             notified_subjects |= set(rekey.notified_subjects)
             notified_objects |= set(rekey.notified_objects)
         self.backend.database.remove_object(object_id)
-        self.backend.issued_objects.pop(object_id, None)
+        if object_id in self.backend.issued_objects:
+            del self.backend.issued_objects[object_id]
         report = UpdateReport(
             operation="remove_object",
             target=object_id,

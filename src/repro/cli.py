@@ -198,7 +198,7 @@ def _cmd_discover(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.backend.persistence import load_backend
-    from repro.net.run import RetryPolicy
+    from repro.net.retry import RetryPolicy
     from repro.service.client import SubjectServiceClient
 
     backend = load_backend(args.snapshot)

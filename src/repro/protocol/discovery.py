@@ -17,6 +17,7 @@ from typing import Callable
 
 from repro.backend.registration import ObjectCredentials, SubjectCredentials
 from repro.crypto.meter import OpMeter, metered
+from repro.net.retry import Retransmissions, RetryPolicy
 from repro.protocol.object import ObjectEngine
 from repro.protocol.subject import DiscoveredService, SubjectEngine
 from repro.protocol.tracker import SubjectTracker
@@ -93,9 +94,6 @@ def _drive(
     found join it; returns the ids of the objects found.  *on_flight*
     sees, and may replace, every frame before it is delivered.
     """
-    # Imported here: repro.net imports this module (net.run -> run_round).
-    from repro.net.retry import Retransmissions, RetryPolicy
-
     # Nothing is sent through the table on this wire, so it stays empty.
     tracker = SubjectTracker(subject, Retransmissions(RetryPolicy()))
     with metered() as subject_meter:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.backend import Backend, BackendDatabase, ChurnEngine
+from repro.backend import Backend, BackendDatabase, ChurnEngine, SubjectCredentials
+from repro.backend import persistence
 from repro.backend.persistence import (
     PersistenceError,
     export_backend,
@@ -106,3 +107,93 @@ class TestRoundtrip:
     def test_bad_format_rejected(self):
         with pytest.raises(PersistenceError):
             import_backend({"format": 99})
+
+
+@pytest.fixture
+def decoded(monkeypatch):
+    """The ids a restored backend decodes, per kind, in order."""
+    seen = {"subjects": [], "objects": []}
+    for kind, name in (
+        ("subjects", "_import_subject_creds"),
+        ("objects", "_import_object_creds"),
+    ):
+        real = getattr(persistence, name)
+
+        def spy(entity_id, *args, real=real, ids=seen[kind]):
+            ids.append(entity_id)
+            return real(entity_id, *args)
+
+        monkeypatch.setattr(persistence, name, spy)
+    return seen
+
+
+@pytest.fixture
+def snapshot_path(live_backend, tmp_path):
+    path = str(tmp_path / "snapshot.json")
+    save_backend(live_backend, path)
+    return path
+
+
+class TestDecodeOnAccess:
+    def test_load_decodes_no_credentials(self, snapshot_path, decoded):
+        restored = load_backend(snapshot_path)
+        assert decoded == {"subjects": [], "objects": []}
+        assert restored.database.subjects.keys() == {"alice", "sam"}
+
+    def test_len_membership_and_iteration_decode_nothing(self, snapshot_path, decoded):
+        restored = load_backend(snapshot_path)
+        subjects = restored.issued_subjects
+        assert len(subjects) == 2
+        assert "alice" in subjects and "nobody" not in subjects
+        assert list(subjects) == ["alice", "sam"]
+        assert sorted(restored.issued_objects) == ["k1", "m1", "t1"]
+        assert set(subjects.keys()) == {"alice", "sam"}
+        assert decoded == {"subjects": [], "objects": []}
+
+    def test_a_read_decodes_exactly_that_record_once(self, snapshot_path, decoded):
+        restored = load_backend(snapshot_path)
+        sam = restored.issued_subjects["sam"]
+        assert decoded["subjects"] == ["sam"]
+        assert restored.issued_subjects["sam"] is sam
+        assert restored.issued_subjects.get("alice").subject_id == "alice"
+        assert restored.issued_subjects.get("nobody") is None
+        assert decoded == {"subjects": ["sam", "alice"], "objects": []}
+
+    def test_pop_returns_decoded_credentials(self, snapshot_path):
+        restored = load_backend(snapshot_path)
+        creds = restored.issued_subjects.pop("alice")
+        assert isinstance(creds, SubjectCredentials)
+        assert "alice" not in restored.issued_subjects
+
+    def test_decoded_record_keeps_its_place(self, snapshot_path):
+        restored = load_backend(snapshot_path)
+        order = list(restored.issued_objects)
+        restored.issued_objects["m1"]
+        assert list(restored.issued_objects) == order
+
+    def test_remove_subject_decodes_no_subject(self, snapshot_path, decoded):
+        restored = load_backend(snapshot_path)
+        accessible = {
+            r.object_id for r in restored.database.objects_accessible_by("alice")
+        }
+        ChurnEngine(restored).remove_subject("alice")
+        assert decoded["subjects"] == []
+        # Only the objects whose revocation lists change are decoded.
+        assert sorted(decoded["objects"]) == sorted(accessible)
+        assert "alice" not in restored.issued_subjects
+        assert "alice" in restored.issued_objects["m1"].revoked_subjects
+
+    def test_export_of_a_loaded_backend_is_unchanged(self, live_backend, snapshot_path):
+        assert export_backend(load_backend(snapshot_path)) == export_backend(live_backend)
+
+    def test_corrupted_key_raises_at_first_read(self, live_backend):
+        snapshot = export_backend(live_backend)
+        snapshot["issued_subjects"]["alice"]["key_pem"] = "not a key"
+        with pytest.raises(ValueError) as decoding:
+            persistence._import_subject_creds(
+                "alice", snapshot["issued_subjects"]["alice"], live_backend.admin_public
+            )
+        restored = import_backend(snapshot)
+        assert restored.issued_subjects["sam"].subject_id == "sam"
+        with pytest.raises(decoding.type):
+            restored.issued_subjects["alice"]
