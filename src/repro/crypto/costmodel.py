@@ -78,6 +78,10 @@ class DeviceProfile:
     hash_to_g1_ms: float = 12.0
     #: Fixed non-crypto per-message processing (parsing, scheduling, app stack).
     per_message_ms: float = 3.0
+    #: ``(op, strength) -> ms``, filled by :meth:`meter_cost_ms` as it prices.
+    _prices: dict[tuple[str, int], float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def op_cost_ms(self, op: str, strength: int = 0) -> float:
         """Cost of one operation in milliseconds."""
@@ -112,10 +116,14 @@ class DeviceProfile:
 
     def meter_cost_ms(self, tally: OpMeter) -> float:
         """Total cost of every operation recorded in *tally*."""
-        return sum(
-            self.op_cost_ms(op, strength) * n
-            for (op, strength), n in tally.counts.items()
-        )
+        prices = self._prices
+        total = 0
+        for key, n in tally.counts.items():
+            price = prices.get(key)
+            if price is None:
+                price = prices[key] = self.op_cost_ms(*key)
+            total += price * n
+        return total
 
     def scaled(self, factor: float, name: str | None = None) -> "DeviceProfile":
         """A uniformly faster/slower variant, for ablations."""

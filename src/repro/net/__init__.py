@@ -8,8 +8,8 @@ regenerated on a laptop.
 
 Each public name below is imported from its submodule on first access
 (PEP 562), so importing :mod:`repro.net.retry` or :mod:`repro.net.faults`
--- as the live service path does -- loads neither the simulator nor
-networkx.
+-- as the live service path does -- loads neither the simulator nor the
+topologies.
 """
 
 from __future__ import annotations

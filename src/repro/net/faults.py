@@ -110,6 +110,10 @@ class Fault:
     def active(self, now: float) -> bool:
         return self.start_s <= now < self.stop_s
 
+    def hits(self, src: str, dst: str, now: float) -> bool:
+        """Active at *now* and scoped to the ``src``-``dst`` hop."""
+        return self.active(now) and self.targets_hop(src, dst)
+
     def targets_hop(self, src: str, dst: str) -> bool:
         if not self.nodes and not self.links:
             return True
@@ -211,6 +215,18 @@ class FaultLayer:
     def __init__(self, schedule: FaultSchedule, seed: int = 0) -> None:
         self.schedule = schedule
         self.rng = random.Random((seed & 0xFFFFFFFF) << 16 ^ schedule.seed ^ 0xFA017)
+        # The schedule is frozen: split its entries by kind once, each in
+        # schedule order, instead of rescanning them all on every frame.
+        def of_kind(kind: FaultKind) -> tuple[Fault, ...]:
+            return tuple(e for e in schedule.entries if e.kind is kind)
+
+        self._crashes = of_kind(FaultKind.CRASH)
+        self._partitions = of_kind(FaultKind.PARTITION)
+        self._burst_losses = of_kind(FaultKind.BURST_LOSS)
+        self._delay_spikes = of_kind(FaultKind.DELAY_SPIKE)
+        self._reorders = of_kind(FaultKind.REORDER)
+        self._duplications = of_kind(FaultKind.DUPLICATION)
+        self._corruptions = of_kind(FaultKind.CORRUPTION)
         #: (link key, fault id) -> currently inside a burst.
         self._burst: dict[tuple, bool] = {}
         self.counters: Counter = Counter()
@@ -246,18 +262,18 @@ class FaultLayer:
     # -- queries the transport makes ----------------------------------------------
 
     def node_down(self, name: str, now: float) -> bool:
+        if not self._crashes:
+            return False
         return any(
-            name in entry.nodes
-            for entry in self.schedule.active(FaultKind.CRASH, now)
+            name in entry.nodes for entry in self._crashes if entry.active(now)
         )
 
     def hop_blocked(self, src: str, dst: str, now: float) -> bool:
+        if not (self._crashes or self._partitions):
+            return False
         if self.node_down(src, now) or self.node_down(dst, now):
             return True
-        return any(
-            entry.targets_hop(src, dst)
-            for entry in self.schedule.active(FaultKind.PARTITION, now)
-        )
+        return any(entry.hits(src, dst, now) for entry in self._partitions)
 
     def frame_fate(self, src: str, dst: str, now: float) -> FrameFate:
         """Roll every active fault against one frame, in a fixed order.
@@ -271,26 +287,26 @@ class FaultLayer:
             fate.dropped = True
             self.counters["frames_blocked"] += 1
             return fate
-        for entry in self.schedule.active(FaultKind.BURST_LOSS, now):
-            if entry.targets_hop(src, dst) and self._burst_lost(entry, src, dst):
+        for entry in self._burst_losses:
+            if entry.hits(src, dst, now) and self._burst_lost(entry, src, dst):
                 fate.dropped = True
         if fate.dropped:
             self.counters["frames_lost_burst"] += 1
             return fate
-        for entry in self.schedule.active(FaultKind.DELAY_SPIKE, now):
-            if entry.targets_hop(src, dst):
+        for entry in self._delay_spikes:
+            if entry.hits(src, dst, now):
                 fate.extra_delay_s += entry.extra_delay_s
                 self.counters["frames_delayed"] += 1
-        for entry in self.schedule.active(FaultKind.REORDER, now):
-            if entry.targets_hop(src, dst) and self.rng.random() < entry.severity:
+        for entry in self._reorders:
+            if entry.hits(src, dst, now) and self.rng.random() < entry.severity:
                 fate.extra_delay_s += self.rng.uniform(0.0, entry.extra_delay_s)
                 self.counters["frames_reordered"] += 1
-        for entry in self.schedule.active(FaultKind.DUPLICATION, now):
-            if entry.targets_hop(src, dst) and self.rng.random() < entry.severity:
+        for entry in self._duplications:
+            if entry.hits(src, dst, now) and self.rng.random() < entry.severity:
                 fate.duplicate = True
                 self.counters["frames_duplicated"] += 1
-        for entry in self.schedule.active(FaultKind.CORRUPTION, now):
-            if entry.targets_hop(src, dst) and self.rng.random() < entry.severity:
+        for entry in self._corruptions:
+            if entry.hits(src, dst, now) and self.rng.random() < entry.severity:
                 fate.corrupt = True
                 self.counters["frames_corrupted"] += 1
         return fate

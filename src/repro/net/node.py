@@ -23,14 +23,13 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-import networkx as nx
-
 from repro.crypto.costmodel import DeviceProfile
 from repro.crypto.meter import metered
 from repro.net.faults import CorruptedFrame, FaultLayer, FaultSchedule
 from repro.net.radio import LinkModel, Radio
 from repro.net.retry import Retransmissions, RetryPolicy
 from repro.net.simulator import Simulator
+from repro.net.topology import Topology
 from repro.protocol.errors import MessageFormatError
 from repro.protocol.messages import (
     Que1,
@@ -143,7 +142,7 @@ class GroundNetwork:
     def __init__(
         self,
         sim: Simulator,
-        graph: nx.Graph,
+        graph: Topology,
         link: LinkModel,
         timing: TimingMode = TimingMode.CALIBRATED,
         sizes: SizeMode = SizeMode.NOMINAL,
@@ -313,7 +312,7 @@ class GroundNetwork:
         key = (src, dst)
         path = self._path_cache.get(key)
         if path is None:
-            path = nx.shortest_path(self.graph, src, dst)
+            path = self.graph.shortest_path(src, dst)
             self._path_cache[key] = path
             self._path_cache[(dst, src)] = list(reversed(path))
         return list(path)

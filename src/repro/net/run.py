@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.backend.registration import ObjectCredentials, SubjectCredentials
 from repro.crypto.costmodel import NEXUS6, RASPBERRY_PI3, DeviceProfile
 from repro.net.faults import FaultLayer, FaultSchedule
@@ -24,7 +22,7 @@ from repro.net.node import GroundNetwork, SimNode, SizeMode, TimingMode
 from repro.net.radio import DEFAULT_WIFI, LinkModel
 from repro.net.retry import Retransmissions, RetryPolicy
 from repro.net.simulator import Simulator
-from repro.net.topology import SUBJECT, hop_distance, shared_floor, star
+from repro.net.topology import SUBJECT, Topology, hop_distance, shared_floor, star
 from repro.protocol.discovery import run_round
 from repro.protocol.messages import Res1Level1, Res2, Rres
 from repro.protocol.object import ObjectEngine
@@ -76,7 +74,7 @@ class DiscoveryTimeline:
 def simulate_discovery(
     subject_creds: SubjectCredentials,
     object_creds: list[ObjectCredentials],
-    graph: nx.Graph | None = None,
+    graph: Topology | None = None,
     link: LinkModel = DEFAULT_WIFI,
     timing: TimingMode = TimingMode.CALIBRATED,
     sizes: SizeMode = SizeMode.NOMINAL,
@@ -205,8 +203,8 @@ def _simulate(
             creds, version, issue_tickets=resumption, resend_cached_res2=True
         )
         net.add_node(SimNode(creds.object_id, "object", object_profile, engine))
-    for node_name, data in graph.nodes(data=True):
-        if data.get("role") == "relay":
+    for node_name, role in graph.roles.items():
+        if role == "relay":
             net.add_node(SimNode(node_name, "relay", object_profile))
 
     trackers: dict[str, SubjectTracker] = {}
@@ -291,7 +289,7 @@ def _simulate(
 def simulate_multi_group_discovery(
     subject_creds: SubjectCredentials,
     object_creds: list[ObjectCredentials],
-    graph: nx.Graph | None = None,
+    graph: Topology | None = None,
     link: LinkModel = DEFAULT_WIFI,
     timing: TimingMode = TimingMode.CALIBRATED,
     sizes: SizeMode = SizeMode.NOMINAL,

@@ -132,6 +132,30 @@ class TestCostModel:
         expected = NEXUS6.op_cost_ms("ecdsa_sign", 128) + 10 * NEXUS6.hmac_ms
         assert NEXUS6.meter_cost_ms(tally) == pytest.approx(expected)
 
+    def test_repeated_pricing_sums_in_tally_order(self):
+        tally = meter.OpMeter()
+        for op, strength, n in (
+            ("hmac", 0, 7), ("ecdsa_verify", 128, 3), ("aes", 0, 2),
+            ("ecdh_gen", 256, 1), ("profile_verify_cached", 0, 4),
+        ):
+            tally.add(op, strength, n)
+        expected = sum(
+            RASPBERRY_PI3.op_cost_ms(op, strength) * n
+            for (op, strength), n in tally.counts.items()
+        )
+        assert RASPBERRY_PI3.meter_cost_ms(tally) == expected
+        assert RASPBERRY_PI3.meter_cost_ms(tally) == expected
+        assert RASPBERRY_PI3.scaled(2.0).meter_cost_ms(tally) == pytest.approx(
+            2 * expected
+        )
+
+    def test_pricing_an_unknown_op_raises_every_time(self):
+        tally = meter.OpMeter()
+        tally.add("quantum_sign")
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unknown operation"):
+                NEXUS6.meter_cost_ms(tally)
+
     def test_unknown_op_rejected(self):
         with pytest.raises(ValueError, match="unknown operation"):
             NEXUS6.op_cost_ms("quantum_sign")

@@ -27,8 +27,8 @@ def _build(graph, subject_creds, object_creds_list, implementations):
         for fn, impl in implementations.items():
             node.command_handler.register(fn, impl)
         net.add_node(node)
-    for name, data in graph.nodes(data=True):
-        if data.get("role") == "relay":
+    for name, role in graph.roles.items():
+        if role == "relay":
             net.add_node(SimNode(name, "relay", RASPBERRY_PI3))
     return sim, net, subject_engine, subject_node
 

@@ -32,5 +32,5 @@ class TestSharedFloor:
 
     def test_roles(self):
         graph = shared_floor(["s1"], ["o1"])
-        assert graph.nodes["s1"]["role"] == "subject"
-        assert graph.nodes["o1"]["role"] == "object"
+        assert graph.roles["s1"] == "subject"
+        assert graph.roles["o1"] == "object"

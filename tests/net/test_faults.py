@@ -1,5 +1,6 @@
 """The fault layer itself: vocabulary, determinism, and each fault kind."""
 
+import hashlib
 import math
 import random
 
@@ -83,6 +84,41 @@ class TestDeterminism:
             )
 
         assert len({run(s) for s in range(4)}) > 1
+
+    def test_draw_order_is_pinned(self):
+        """Every kind on one schedule, across its windows: the fates and
+        counters hash to the value the fault layer has always given."""
+        schedule = FaultSchedule(
+            (
+                Fault(FaultKind.BURST_LOSS, severity=0.6, p_enter_burst=0.2,
+                      background_loss=0.05),
+                Fault(FaultKind.DELAY_SPIKE, start_s=1.0, stop_s=3.0, nodes=("a",),
+                      extra_delay_s=0.1),
+                Fault(FaultKind.REORDER, severity=0.4, extra_delay_s=0.05),
+                Fault(FaultKind.DUPLICATION, start_s=0.5, severity=0.3,
+                      links=(("b", "S"),)),
+                Fault(FaultKind.CORRUPTION, stop_s=2.5, severity=0.2),
+                Fault(FaultKind.CRASH, start_s=2.0, stop_s=2.5, nodes=("b",)),
+                Fault(FaultKind.PARTITION, start_s=3.0, stop_s=3.5, links=(("S", "a"),)),
+            ),
+            seed=7,
+        )
+        layer = FaultLayer(schedule, seed=11)
+        fates = []
+        for i in range(400):
+            for src, dst in (("S", "a"), ("b", "S"), ("S", "c")):
+                f = layer.frame_fate(src, dst, i * 0.01)
+                fates.append((f.dropped, f.duplicate, round(f.extra_delay_s, 12), f.corrupt))
+        counters = sorted(layer.counters.items())
+        assert counters == [
+            ("frames_blocked", 100), ("frames_corrupted", 104),
+            ("frames_delayed", 153), ("frames_duplicated", 54),
+            ("frames_lost_burst", 300), ("frames_reordered", 339),
+        ]
+        digest = hashlib.sha256(repr((fates, counters)).encode()).hexdigest()
+        assert digest == (
+            "5c79119f6bd1262ed30aa6864cf85e0c8ff3a273677de682d943f376ad121e53"
+        )
 
     def test_empirical_loss_near_mean(self):
         schedule = burst_loss_schedule(0.2, seed=0)

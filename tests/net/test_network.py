@@ -15,8 +15,7 @@ LINK = LinkModel(access_delay_s=0.01, frame_overhead_s=0.001, bitrate_bps=1e6)
 def make_net(graph):
     sim = Simulator()
     net = GroundNetwork(sim, graph, LINK)
-    for name, data in graph.nodes(data=True):
-        role = data.get("role", "object")
+    for name, role in graph.roles.items():
         profile = NEXUS6 if role == "subject" else RASPBERRY_PI3
         net.add_node(SimNode(name, role, profile))
     return sim, net
@@ -123,3 +122,25 @@ class TestBroadcast:
         net.broadcast(SUBJECT, Que1(b"q" * 28))
         sim.run()
         assert net.nodes[SUBJECT].radio.messages_sent == 1
+
+
+class TestRouting:
+    def test_route_follows_the_relay_chain_both_ways(self):
+        _, net = make_net(multihop([["a"], ["b"], ["c"]]))
+        assert net._route(SUBJECT, "c") == [SUBJECT, "relay-1", "relay-2", "c"]
+        assert net._route("c", SUBJECT) == ["c", "relay-2", "relay-1", SUBJECT]
+
+    def test_unicast_to_an_unreachable_node_raises(self):
+        graph = star(["a"])
+        graph.add_node("island", "object")
+        _, net = make_net(graph)
+        with pytest.raises(ValueError, match="no path"):
+            net.unicast(SUBJECT, "island", Que1(b"q" * 28))
+
+    def test_broadcast_reaches_neighbors_in_edge_order(self):
+        sim, net = make_net(star(["c", "a", "b"]))
+        got = []
+        net.on_delivery = lambda t, s, d, m: got.append(d)
+        net.broadcast(SUBJECT, Que1(b"q" * 28))
+        sim.run()
+        assert got == ["c", "a", "b"]

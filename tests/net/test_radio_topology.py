@@ -5,7 +5,16 @@ import random
 import pytest
 
 from repro.net.radio import DEFAULT_WIFI, JITTERY_WIFI, LinkModel, Radio
-from repro.net.topology import SUBJECT, hop_distance, multihop, paper_multihop, star
+from repro.net.topology import (
+    SUBJECT,
+    Topology,
+    hop_distance,
+    multihop,
+    paper_multihop,
+    random_building,
+    shared_floor,
+    star,
+)
 
 
 class TestLinkModel:
@@ -52,7 +61,7 @@ class TestTopology:
 
     def test_relay_roles(self):
         g = multihop([["a"], ["b"], ["c"]])
-        relays = [n for n, d in g.nodes(data=True) if d.get("role") == "relay"]
+        relays = [n for n, role in g.roles.items() if role == "relay"]
         assert relays == ["relay-1", "relay-2"]
 
     def test_paper_multihop_split(self):
@@ -73,3 +82,80 @@ class TestTopology:
 
     def test_subject_present(self):
         assert SUBJECT in star(["a"])
+
+
+class TestTopologyContract:
+    """Routes, hop counts and neighbour order of every layout."""
+
+    def test_star_routes(self):
+        g = star(["a", "b"])
+        assert g.shortest_path(SUBJECT, "b") == [SUBJECT, "b"]
+        assert g.shortest_path("b", SUBJECT) == ["b", SUBJECT]
+        assert g.shortest_path("a", "b") == ["a", SUBJECT, "b"]
+
+    def test_multihop_routes_through_the_relay_chain(self):
+        g = multihop([["a", "b"], ["c"], ["d"]])
+        assert g.shortest_path(SUBJECT, "d") == [SUBJECT, "relay-1", "relay-2", "d"]
+        assert g.shortest_path("d", "a") == ["d", "relay-2", "relay-1", SUBJECT, "a"]
+        assert hop_distance(g, "relay-2") == 2
+
+    def test_paper_multihop_five_objects_per_hop(self):
+        ids = [f"o{i}" for i in range(20)]
+        g = paper_multihop(ids, 4)
+        for index, object_id in enumerate(ids):
+            hop = index // 5 + 1
+            assert hop_distance(g, object_id) == hop
+            relays = [f"relay-{k}" for k in range(1, hop)]
+            assert g.shortest_path(SUBJECT, object_id) == [SUBJECT, *relays, object_id]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_building_routes_run_over_relays(self, seed):
+        ids = [f"o{i}" for i in range(12)]
+        g = random_building(ids, n_relays=4, seed=seed)
+        assert len(list(g.edges())) == len(g.roles) - 1  # a tree
+        for object_id in ids:
+            path = g.shortest_path(SUBJECT, object_id)
+            assert len(path) - 1 == hop_distance(g, object_id)
+            assert all(g.roles[n] == "relay" for n in path[1:-1])
+            assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
+
+    def test_shared_floor_routes(self):
+        g = shared_floor(["s1", "s2"], ["o1", "o2"])
+        assert g.shortest_path("s2", "o1") == ["s2", "o1"]
+        assert hop_distance(g, "o2", "s1") == 1
+        assert hop_distance(g, "s2", "s1") == 2
+
+    def test_neighbors_follow_edge_insertion_order(self):
+        assert list(star(["c", "a", "b"]).neighbors(SUBJECT)) == ["c", "a", "b"]
+        g = multihop([["z"], ["y", "x"]])
+        assert list(g.neighbors(SUBJECT)) == ["z", "relay-1"]
+        assert list(g.neighbors("relay-1")) == [SUBJECT, "y", "x"]
+        floor = shared_floor(["s2", "s1"], ["o2", "o1"])
+        assert list(floor.neighbors("o1")) == ["s2", "s1"]
+        assert list(floor.neighbors("s1")) == ["o2", "o1"]
+
+    def test_edges_and_roles(self):
+        g = multihop([["a"], ["b"]])
+        assert list(g.edges()) == [
+            (SUBJECT, "a"), (SUBJECT, "relay-1"), ("relay-1", "b"),
+        ]
+        assert g.has_edge("b", "relay-1") and g.has_edge("relay-1", "b")
+        assert not g.has_edge(SUBJECT, "b")
+        assert g.roles == {
+            SUBJECT: "subject", "a": "object", "relay-1": "relay", "b": "object",
+        }
+
+    def test_unreachable_node_raises(self):
+        g = star(["a"])
+        g.add_node("island", "object")
+        with pytest.raises(ValueError, match="no path"):
+            hop_distance(g, "island")
+        with pytest.raises(ValueError, match="not in the topology"):
+            hop_distance(g, "nowhere")
+
+    def test_edge_needs_both_nodes(self):
+        g = Topology()
+        g.add_node(SUBJECT, "subject")
+        with pytest.raises(ValueError, match="not in the topology"):
+            g.add_edge(SUBJECT, "ghost")
+        assert list(g.neighbors(SUBJECT)) == []

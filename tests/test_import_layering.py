@@ -3,15 +3,17 @@
 An object host (``argus-repro serve``) and the subject client
 (``argus-repro discover``) import the daemon, the client, snapshot
 loading and the update wire.  None of them may load the discrete-event
-simulator or networkx: ``repro`` and ``repro.net`` resolve their
-re-exports on first access (PEP 562), and ``repro.net.retry`` /
-``repro.net.faults`` import no sibling.
+simulator: ``repro`` and ``repro.net`` resolve their re-exports on first
+access (PEP 562), and ``repro.net.retry`` / ``repro.net.faults`` import
+no sibling.  No module of the package at all may load a dependency the
+package has dropped, and ``pyproject.toml`` may not list one.
 """
 
 import importlib
 import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -30,8 +32,10 @@ LIVE_PATH = (
     "repro.net.retry",
     "repro.cli",
 )
+#: Third-party packages the project no longer depends on.
+DROPPED_DEPENDENCIES = ("networkx",)
 SIMULATOR = (
-    "networkx",
+    *DROPPED_DEPENDENCIES,
     "repro.net.node",
     "repro.net.run",
     "repro.net.topology",
@@ -55,6 +59,23 @@ def test_live_path_loads_no_simulator():
     loaded = modules_loaded_by(LIVE_PATH)
     assert set(LIVE_PATH) <= loaded
     assert sorted(loaded & set(SIMULATOR)) == []
+
+
+def test_no_module_loads_a_dropped_dependency():
+    modules = tuple(
+        info.name
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if not info.name.endswith(".__main__")  # runs the CLI on import
+    )
+    loaded = modules_loaded_by(modules)
+    assert set(modules) <= loaded
+    assert sorted(loaded & set(DROPPED_DEPENDENCIES)) == []
+
+
+def test_pyproject_lists_no_dropped_dependency():
+    pyproject = Path(repro.__file__).resolve().parents[2] / "pyproject.toml"
+    text = pyproject.read_text(encoding="utf-8").lower()
+    assert [name for name in DROPPED_DEPENDENCIES if name in text] == []
 
 
 def test_importing_the_packages_loads_no_simulator():
