@@ -6,7 +6,7 @@ The committed gates (asserted by the test functions here, on the fixed
 seeds the experiment pins — chaos runs are deterministic, so these are
 exact, not statistical):
 
-* with per-exchange retransmission + round re-broadcast, **>= 99%** of
+* with per-exchange retransmission + fresh QUE1 rounds, **>= 99%** of
   discoveries complete under 20% Gilbert–Elliott burst loss;
 * the no-recovery baseline (one round, no retries) completes **< 80%**
   under the same schedules — the recovery stack is load-bearing;

@@ -34,7 +34,7 @@ from repro.protocol.messages import (
     parse_message,
     resumed_exchange_nominal,
 )
-from repro.service.chaos import ServiceChaosHarness
+from repro.service.chaos import SUBJECT_NODE, ServiceChaosHarness
 from repro.service.client import SubjectServiceClient
 from repro.service.daemon import ObjectServiceDaemon
 
@@ -44,10 +44,11 @@ BENCH_RETRY = RetryPolicy(base_timeout_s=0.06, give_up_s=1.5)
 CHAOS_LOSS = 0.20
 CHAOS_SEED = 0
 #: The smoke run's seed, on a one-object fleet.  A lone link carries the
-#: exchange serially (QUE1, RES1, QUE2, RES2), and this seed's burst-loss
-#: draws deliver the first two frames and drop the third: the QUE2, which
-#: only the QUE2 retry can recover (test_smoke_schedule_drops_the_que2).
-SMOKE_CHAOS_SEED = 32
+#: exchange serially (QUE1, RES1, QUE2, RES2), and this seed is the
+#: smallest whose burst-loss draws on that link deliver the first two
+#: frames and drop the third: the QUE2, which only the QUE2 retry can
+#: recover (test_smoke_schedule_drops_the_que2).
+SMOKE_CHAOS_SEED = 0
 
 
 def _capture_live(level: int, *, resume: bool = False) -> dict:
@@ -169,7 +170,9 @@ def test_smoke_schedule_drops_the_que2():
         burst_loss_schedule(CHAOS_LOSS, seed=SMOKE_CHAOS_SEED),
         seed=SMOKE_CHAOS_SEED,
     )
-    hops = [("subject", "object"), ("object", "subject"), ("subject", "object")]
+    # The link's own names: each link draws from its own stream.
+    node = make_level_fleet(1, level=2)[1][0].object_id
+    hops = [(SUBJECT_NODE, node), (node, SUBJECT_NODE), (SUBJECT_NODE, node)]
     dropped = [layer.frame_fate(src, dst, 0.0).dropped for src, dst in hops]
     assert dropped == [False, False, True]  # QUE1, RES1 delivered; QUE2 lost
 

@@ -8,8 +8,8 @@ objects.  This experiment sweeps a fault-type x severity matrix through
 :mod:`repro.net.faults` and reports discovery completion and recovery
 cost for each cell, then isolates the recovery stack's contribution
 under the headline condition (20% Gilbert–Elliott burst loss): per-
-exchange retransmission (:class:`repro.net.retry.RetryPolicy`) plus round
-re-broadcast vs the no-recovery baseline.
+exchange retransmission (:class:`repro.net.retry.RetryPolicy`) plus fresh
+QUE1 rounds vs the no-recovery baseline.
 
 A third section checks that recovery never buys robustness with
 secrecy: under loss + duplication faults the v3.0 structural

@@ -11,13 +11,14 @@ partitions, and backend (update-plane) outages — each a declarative
 explicit target set, grouped into a :class:`FaultSchedule`.
 
 Determinism is load-bearing: the schedule plus the network seed fully
-determine every draw (the fault layer keeps its own
-``random.Random``, separate from the link model's), so a chaos run is
-byte-identical run-to-run — the same property every other experiment in
-:mod:`repro.net.simulator` relies on, now extended to failure modes.
+determine every draw, so a chaos run is byte-identical run-to-run — the
+same property every other experiment in :mod:`repro.net.simulator`
+relies on, now extended to failure modes.  Each link draws from its own
+stream (:class:`FaultLayer`), so sending fewer frames on one link leaves
+every other link's draws where they were.
 
 The recovery side lives in :mod:`repro.net.run` (per-exchange
-retransmission with backoff, round re-broadcast as the outer fallback)
+retransmission with backoff, a fresh QUE1 round as the outer fallback)
 and :mod:`repro.protocol.object` (idempotent duplicate handling, pending
 -handshake TTL, decoy RRES); see docs/robustness.md for the full fault
 vocabulary and the §VI-B indistinguishability argument for recovery
@@ -205,16 +206,20 @@ class FrameFate:
 class FaultLayer:
     """Runtime fault state for one :class:`GroundNetwork`.
 
-    Owns its own RNG (never the link model's — installing a fault layer
-    must not perturb the loss/jitter draws of an otherwise identical
-    run) and the per-link Gilbert–Elliott burst states.  Install with
+    Owns one RNG stream per unordered link, seeded by a string from the
+    layer seed and the link's node names (never the salted ``hash()``,
+    never the link model's RNG — installing a fault layer must not
+    perturb the loss/jitter draws of an otherwise identical run), and
+    the per-link Gilbert–Elliott burst states.  Install with
     ``GroundNetwork(..., faults=FaultLayer(schedule, seed=seed))`` or
     pass a bare :class:`FaultSchedule` and let the network wrap it.
     """
 
     def __init__(self, schedule: FaultSchedule, seed: int = 0) -> None:
         self.schedule = schedule
-        self.rng = random.Random((seed & 0xFFFFFFFF) << 16 ^ schedule.seed ^ 0xFA017)
+        self._seed = (seed & 0xFFFFFFFF) << 16 ^ schedule.seed ^ 0xFA017
+        #: sorted node pair -> that link's RNG stream.
+        self._rngs: dict[tuple[str, str], random.Random] = {}
         # The schedule is frozen: split its entries by kind once, each in
         # schedule order, instead of rescanning them all on every frame.
         def of_kind(kind: FaultKind) -> tuple[Fault, ...]:
@@ -275,20 +280,29 @@ class FaultLayer:
             return True
         return any(entry.hits(src, dst, now) for entry in self._partitions)
 
+    def _rng(self, src: str, dst: str) -> tuple[tuple[str, str], random.Random]:
+        """The hop's unordered link and its RNG stream."""
+        link = (src, dst) if src <= dst else (dst, src)
+        rng = self._rngs.get(link)
+        if rng is None:
+            rng = self._rngs[link] = random.Random(repr((self._seed,) + link))
+        return link, rng
+
     def frame_fate(self, src: str, dst: str, now: float) -> FrameFate:
         """Roll every active fault against one frame, in a fixed order.
 
         The draw order (loss, delay, reorder, duplication, corruption)
         is part of the determinism contract: identical schedules consume
-        identical RNG streams.
+        identical RNG streams, each link its own.
         """
         fate = FrameFate()
         if self.hop_blocked(src, dst, now):
             fate.dropped = True
             self.counters["frames_blocked"] += 1
             return fate
+        link, rng = self._rng(src, dst)
         for entry in self._burst_losses:
-            if entry.hits(src, dst, now) and self._burst_lost(entry, src, dst):
+            if entry.hits(src, dst, now) and self._burst_lost(entry, link, rng):
                 fate.dropped = True
         if fate.dropped:
             self.counters["frames_lost_burst"] += 1
@@ -298,43 +312,44 @@ class FaultLayer:
                 fate.extra_delay_s += entry.extra_delay_s
                 self.counters["frames_delayed"] += 1
         for entry in self._reorders:
-            if entry.hits(src, dst, now) and self.rng.random() < entry.severity:
-                fate.extra_delay_s += self.rng.uniform(0.0, entry.extra_delay_s)
+            if entry.hits(src, dst, now) and rng.random() < entry.severity:
+                fate.extra_delay_s += rng.uniform(0.0, entry.extra_delay_s)
                 self.counters["frames_reordered"] += 1
         for entry in self._duplications:
-            if entry.hits(src, dst, now) and self.rng.random() < entry.severity:
+            if entry.hits(src, dst, now) and rng.random() < entry.severity:
                 fate.duplicate = True
                 self.counters["frames_duplicated"] += 1
         for entry in self._corruptions:
-            if entry.hits(src, dst, now) and self.rng.random() < entry.severity:
+            if entry.hits(src, dst, now) and rng.random() < entry.severity:
                 fate.corrupt = True
                 self.counters["frames_corrupted"] += 1
         return fate
 
-    def _burst_lost(self, entry: Fault, src: str, dst: str) -> bool:
-        """Advance one Gilbert–Elliott chain by one frame; return loss."""
-        link = (src, dst) if src <= dst else (dst, src)
+    def _burst_lost(self, entry: Fault, link: tuple[str, str], rng: random.Random) -> bool:
+        """Advance *link*'s Gilbert–Elliott chain by one frame; return loss."""
         key = (link, id(entry))
         in_burst = self._burst.get(key, False)
-        lost = self.rng.random() < (
+        lost = rng.random() < (
             entry.severity if in_burst else entry.background_loss
         )
         if in_burst:
-            if self.rng.random() < entry.p_exit_burst:
+            if rng.random() < entry.p_exit_burst:
                 in_burst = False
-        elif self.rng.random() < entry.p_enter_burst:
+        elif rng.random() < entry.p_enter_burst:
             in_burst = True
         self._burst[key] = in_burst
         return lost
 
-    def corrupt_bytes(self, data: bytes) -> bytes:
-        """Flip 1–3 bytes at deterministic positions (never a no-op)."""
+    def corrupt_bytes(self, data: bytes, src: str, dst: str) -> bytes:
+        """Flip 1–3 bytes of a frame on the ``src``-``dst`` hop, drawn from
+        that link's stream (never a no-op)."""
         if not data:
             return data
+        rng = self._rng(src, dst)[1]
         mangled = bytearray(data)
-        for _ in range(self.rng.randint(1, min(3, len(mangled)))):
-            index = self.rng.randrange(len(mangled))
-            mangled[index] ^= self.rng.randint(1, 255)
+        for _ in range(rng.randint(1, min(3, len(mangled)))):
+            index = rng.randrange(len(mangled))
+            mangled[index] ^= rng.randint(1, 255)
         return bytes(mangled)
 
     def backend_up(self, now: float) -> bool:

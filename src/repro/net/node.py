@@ -163,9 +163,10 @@ class GroundNetwork:
         #: Hook invoked as (time, src, dst, message) when a unicast send
         #: starts — the retransmission layer's view of outgoing traffic.
         self.on_sent: Callable[[float, str, str, object], None] | None = None
-        #: Hook invoked as (completion_time, node_name, message) after a
-        #: node finishes *processing* a message (engine work included).
-        self.on_processed: Callable[[float, str, object], None] | None = None
+        #: Hook invoked as (completion_time, node_name, src, message) after
+        #: a node finishes *processing* a message from ``src`` (engine work
+        #: included).
+        self.on_processed: Callable[[float, str, str, object], None] | None = None
         #: Frames dropped by the lossy link model or the fault layer.
         self.messages_lost: int = 0
         #: Optional chaos layer (repro.net.faults); a bare schedule is
@@ -207,7 +208,7 @@ class GroundNetwork:
                 if isinstance(message, CorruptedFrame)
                 else type(message).__name__
             )
-            frame = CorruptedFrame(self.faults.corrupt_bytes(raw), original)
+            frame = CorruptedFrame(self.faults.corrupt_bytes(raw, src, dst), original)
         deliveries = [(arrival + fate.extra_delay_s, frame)]
         if fate.duplicate:
             deliveries.append((arrival + fate.extra_delay_s + occupancy, frame))
@@ -351,7 +352,7 @@ class GroundNetwork:
             hook = self.on_processed
             self.sim.at(
                 node.cpu_busy_until,
-                lambda: hook(self.sim.now, node.name, message),
+                lambda: hook(self.sim.now, node.name, src, message),
             )
         if reply is not None:
             self.sim.at(node.cpu_busy_until, lambda: self.unicast(dst, src, reply))

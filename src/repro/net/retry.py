@@ -25,7 +25,7 @@ class RetryPolicy:
     RQUE), losing the request or its response no longer costs a whole
     ``round_interval_s``: a timer re-sends the *same* frame with
     exponential backoff + jitter until the exchange completes, the retry
-    budget runs out, or ``give_up_s`` elapses. The round re-broadcast in
+    budget runs out, or ``give_up_s`` elapses. A fresh QUE1 round in
     :func:`~repro.net.run.simulate_discovery` remains the outer fallback
     for objects that never answered QUE1 at all.
     """

@@ -24,7 +24,7 @@ from repro.net.retry import Retransmissions, RetryPolicy
 from repro.net.simulator import Simulator
 from repro.net.topology import SUBJECT, Topology, hop_distance, shared_floor, star
 from repro.protocol.discovery import run_round
-from repro.protocol.messages import Res1Level1, Res2, Rres
+from repro.protocol.messages import Que1, Res1Level1, Res2, Rres
 from repro.protocol.object import ObjectEngine
 from repro.protocol.subject import SubjectEngine
 from repro.protocol.tracker import SubjectTracker
@@ -95,12 +95,13 @@ def simulate_discovery(
 
     With a lossy link model (``link.loss_rate > 0``) a single round may
     miss objects whose frames were dropped; ``max_rounds > 1`` makes the
-    subject re-broadcast a fresh QUE1 every ``round_interval_s`` until
+    subject start a fresh QUE1 round every ``round_interval_s`` until
     everything is found or the rounds are exhausted — the natural
-    recovery strategy for a protocol without per-message ACKs. A
-    re-broadcast round handshakes only with the objects not found yet:
-    found objects still answer the QUE1, but the subject drops their
-    RES1 unverified, so ``timeline.services`` holds each object once.
+    recovery strategy for a protocol without per-message ACKs. Round 0
+    broadcasts its QUE1; each later round unicasts it to the objects not
+    found yet, as the live client does, so a found object answers no
+    further QUE1 and ``timeline.services`` holds each object once.  A
+    QUE1 is never retransmitted: the next round is its retry.
 
     ``retry`` adds the finer-grained inner loop: per-object QUE2/RQUE
     retransmission timers (see :class:`RetryPolicy`), so one lost frame
@@ -239,18 +240,33 @@ def _simulate(
             # the timeline's: completion is stamped when the subject's CPU
             # finishes a reply, which can be after this round starts.
             found = {service.object_id for service in tracker.engine.discovered}
-            que1 = tracker.start_round([o for o in targets if o not in found], group_id)
-            net.broadcast(name, que1)
+            unfound = [o for o in targets if o not in found]
+            que1 = tracker.start_round(unfound, group_id)
+            if index == 0:
+                net.broadcast(name, que1)
+            else:
+                # A re-round asks only the objects still unfound, as the
+                # live client does: a found object signs no RES1 to drop.
+                for peer in unfound:
+                    net.unicast(name, peer, que1)
         if index + 1 < max_rounds:
             sim.schedule(round_interval_s, lambda: launch_round(name, index + 1))
 
-    def on_processed(t: float, node_name: str, message) -> None:
-        # Completions are stamped when the subject's CPU finishes a reply
-        # that can settle an exchange.
+    #: subject -> peer -> service its tracker settled, held until the
+    #: subject's CPU finishes that peer's reply.
+    held: dict[str, dict] = {name: {} for name in trackers}
+
+    def on_processed(t: float, node_name: str, src: str, message) -> None:
+        # The handler settles an exchange when the reply is delivered;
+        # its completion is stamped when the subject's CPU finishes it.
         if node_name in trackers and isinstance(message, (Res1Level1, Res2, Rres)):
-            for _, service in trackers[node_name].collect():
+            settled = held[node_name]
+            for peer, service in trackers[node_name].collect():
                 if service is not None:
-                    timelines[node_name].completion.setdefault(service.object_id, t)
+                    settled[peer] = service
+            service = settled.pop(src, None)
+            if service is not None:
+                timelines[node_name].completion.setdefault(service.object_id, t)
 
     net.on_processed = on_processed
     if on_delivery is not None:
@@ -267,7 +283,8 @@ def _simulate(
             timelines[name].exchanges_given_up += len(gave_up)
 
         def on_sent(t: float, src: str, dst: str, message) -> None:
-            if src in trackers:
+            # A QUE1 is never re-sent: the next round is its retry.
+            if src in trackers and not isinstance(message, Que1):
                 # Exact: at() adds (t + timeout) - t to t, which rounds back to t + timeout.
                 sim.at(trackers[src].table.sent(dst, message, t), lambda: check(src))
 

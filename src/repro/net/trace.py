@@ -43,12 +43,12 @@ class Tracer:
             if prev_delivery is not None:
                 prev_delivery(t, src, dst, message)
 
-        def on_processed(t: float, node: str, message) -> None:
+        def on_processed(t: float, node: str, src: str, message) -> None:
             self.events.append(
                 TraceEvent(t, "processed", node, node, type(message).__name__)
             )
             if prev_processed is not None:
-                prev_processed(t, node, message)
+                prev_processed(t, node, src, message)
 
         net.on_delivery = on_delivery
         net.on_processed = on_processed

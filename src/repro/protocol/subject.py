@@ -125,7 +125,7 @@ class SubjectEngine(ErrorLog):
         subject has exactly one, otherwise the cover-up key — so every
         subject, member or not, emits identical-looking traffic (v3.0).
 
-        ``settled`` holds the peers a re-broadcast round no longer seeks:
+        ``settled`` holds the peers a later round no longer seeks:
         their RES1s to this round's QUE1 are dropped without any crypto
         or error record.  The default seeks every peer.
         """

@@ -5,12 +5,13 @@ socket path has no such seam, so this module provides one: a
 :class:`ChaosProxy` sits on the loopback path between clients and one
 daemon, and every datagram crossing it is rolled through the *same*
 :class:`~repro.net.faults.FaultLayer` the simulator uses — same
-Gilbert–Elliott burst chains, same RNG seeding discipline
-(``(seed & 0xFFFFFFFF) << 16 ^ schedule.seed ^ 0xFA017``), same
-draw order.  The schedule's windows run on wall-clock time relative to
-the harness epoch (:meth:`ServiceChaosHarness.start`), so "burst loss
-from t=0, crash from t=0.5" means the same thing it means in simulation,
-just against real frames.
+Gilbert–Elliott burst chains, same per-link RNG streams (seeded from the
+layer seed and the link's node names, so a live link named like its
+simulated twin draws the same fates), same draw order.  The schedule's
+windows run on wall-clock time relative to the harness epoch
+(:meth:`ServiceChaosHarness.start`), so "burst loss from t=0, crash from
+t=0.5" means the same thing it means in simulation, just against real
+frames.
 
 What the proxy does **not** do is call ``FaultLayer.install`` — that
 hook schedules simulator events and is meaningless here.  Crash windows
@@ -158,7 +159,7 @@ class ChaosProxy(asyncio.DatagramProtocol):
             self.counters["frames_dropped"] += 1
             return
         if fate.corrupt:
-            data = self.layer.corrupt_bytes(data)
+            data = self.layer.corrupt_bytes(data, src, dst)
             self.counters["frames_corrupted"] += 1
 
         def deliver(frame: bytes = data) -> None:
@@ -243,7 +244,7 @@ class ServiceChaosHarness:
     """A fleet of live daemons behind chaos proxies, one schedule.
 
     The live analogue of ``simulate_discovery(..., faults=schedule)``:
-    one shared :class:`FaultLayer` (so burst chains and RNG draws are
+    one shared :class:`FaultLayer` (so burst chains and RNG streams are
     per-link, exactly as in simulation), one controller for crash
     windows, one epoch for the schedule clock, and a tap stream of every
     delivered frame for the distinguisher experiments.

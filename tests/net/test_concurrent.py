@@ -103,6 +103,29 @@ class TestSharedDriver:
 
     def test_burst_loss_recovers_every_subject(self):
         subjects, objects = build_floor(3, 6)
+        burst = burst_loss_schedule(0.2, seed=3)
+        # Force one re-send: partition one link from its first QUE2's
+        # arrival to the RES2 that answered it.  Each link draws its own
+        # fates, and a blocked frame draws none, so the re-sent QUE2 after
+        # the window draws what that RES2 drew, and is delivered.
+        link = (subjects[0].subject_id, objects[0].object_id)
+        arrived: dict[type, float] = {}
+
+        def probe(t, src, dst, message):
+            if (src, dst) == link and isinstance(message, Que2):
+                arrived.setdefault(Que2, t)
+            elif (dst, src) == link and isinstance(message, Res2) and Que2 in arrived:
+                arrived.setdefault(Res2, t)
+
+        simulate_concurrent_discovery(
+            subjects, objects, seed=3, retry=RECOVERY, max_rounds=RECOVERY_ROUNDS,
+            faults=burst, on_delivery=probe,
+        )
+        schedule = FaultSchedule(
+            burst.entries + (Fault(FaultKind.PARTITION, start_s=arrived[Que2],
+                                   stop_s=arrived[Res2], links=(link,)),),
+            seed=burst.seed,
+        )
         que2s: Counter = Counter()
 
         def tap(_t, src, dst, message):
@@ -111,7 +134,7 @@ class TestSharedDriver:
 
         timeline = simulate_concurrent_discovery(
             subjects, objects, seed=3, retry=RECOVERY, max_rounds=RECOVERY_ROUNDS,
-            faults=burst_loss_schedule(0.2, seed=3), on_delivery=tap,
+            faults=schedule, on_delivery=tap,
         )
         assert timeline.discovered_counts == {s.subject_id: 6 for s in subjects}
         assert len(timeline.subject_completion) == 3

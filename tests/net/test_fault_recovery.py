@@ -6,6 +6,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.experiments.common import make_level_fleet
 from repro.net.faults import Fault, FaultKind, FaultSchedule, burst_loss_schedule
 from repro.net.run import RetryPolicy, simulate_discovery
+from repro.net.topology import SUBJECT
+from repro.protocol.messages import Que2, Res2
 
 
 class TestRetryPolicy:
@@ -37,21 +39,37 @@ class TestRetryPolicy:
 
 class TestRetransmissionRecovery:
     def test_retries_recover_within_single_round(self):
-        """Seed pinned so the no-retry run deterministically loses a
-        QUE2/RES2 exchange the retry layer then recovers — without
-        spending a whole extra round."""
+        """A partition on one object's link across its phase 2 drops its
+        RES2: the no-retry run loses that exchange, and the retry layer
+        recovers it within the round by re-sending the QUE2."""
         subject_creds, object_creds, _ = make_level_fleet(10, level=2)
-        schedule = burst_loss_schedule(0.20, seed=2)
+        victim = object_creds[3].object_id
+        # Phase 2 on the victim's link in a clean run: its QUE2 arrives
+        # at arrived[Que2], its RES2 at arrived[Res2].  A partition
+        # starting at the first time drops only the RES2, sent after it;
+        # the first QUE2 re-send is due after the RES2 would have been
+        # processed (a clean run re-sends nothing), so it passes.
+        arrived: dict[type, float] = {}
+
+        def tap(t, src, dst, message):
+            if {src, dst} == {SUBJECT, victim}:
+                arrived.setdefault(type(message), t)
+
+        simulate_discovery(subject_creds, object_creds, on_delivery=tap)
+        schedule = FaultSchedule((
+            Fault(FaultKind.PARTITION, start_s=arrived[Que2],
+                  stop_s=arrived[Res2], links=((SUBJECT, victim),)),
+        ))
         bare = simulate_discovery(
-            subject_creds, object_creds, faults=schedule, max_rounds=1, seed=2
+            subject_creds, object_creds, faults=schedule, max_rounds=1
         )
         retried = simulate_discovery(
             subject_creds, object_creds, faults=schedule,
-            retry=RetryPolicy(), max_rounds=1, seed=2,
+            retry=RetryPolicy(), max_rounds=1,
         )
-        assert len(bare.completion) < len(object_creds)
+        assert set(bare.completion) == {c.object_id for c in object_creds} - {victim}
         assert len(retried.completion) == len(object_creds)
-        assert retried.retransmissions > 0
+        assert retried.retransmissions == 1
 
     def test_retry_count_bounded(self):
         subject_creds, object_creds, _ = make_level_fleet(6, level=2)

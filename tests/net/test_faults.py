@@ -2,7 +2,11 @@
 
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -87,7 +91,7 @@ class TestDeterminism:
 
     def test_draw_order_is_pinned(self):
         """Every kind on one schedule, across its windows: the fates and
-        counters hash to the value the fault layer has always given."""
+        counters hash to the value the per-link streams give."""
         schedule = FaultSchedule(
             (
                 Fault(FaultKind.BURST_LOSS, severity=0.6, p_enter_burst=0.2,
@@ -111,14 +115,65 @@ class TestDeterminism:
                 fates.append((f.dropped, f.duplicate, round(f.extra_delay_s, 12), f.corrupt))
         counters = sorted(layer.counters.items())
         assert counters == [
-            ("frames_blocked", 100), ("frames_corrupted", 104),
-            ("frames_delayed", 153), ("frames_duplicated", 54),
-            ("frames_lost_burst", 300), ("frames_reordered", 339),
+            ("frames_blocked", 100), ("frames_corrupted", 100),
+            ("frames_delayed", 137), ("frames_duplicated", 68),
+            ("frames_lost_burst", 268), ("frames_reordered", 323),
         ]
         digest = hashlib.sha256(repr((fates, counters)).encode()).hexdigest()
         assert digest == (
-            "5c79119f6bd1262ed30aa6864cf85e0c8ff3a273677de682d943f376ad121e53"
+            "8eea11441fd18855c5b2e28c0682e7b09c3a88b3ca07a19b4cd8880d0bbcef6e"
         )
+
+    def test_links_draw_independently(self):
+        """The fates on (S, a) are the same whether or not frames cross
+        (S, b) in between: each link draws from its own stream."""
+        schedule = FaultSchedule(
+            (
+                Fault(FaultKind.BURST_LOSS, severity=0.7, p_enter_burst=0.3),
+                Fault(FaultKind.REORDER, severity=0.5, extra_delay_s=0.05),
+                Fault(FaultKind.DUPLICATION, severity=0.3),
+                Fault(FaultKind.CORRUPTION, severity=0.3),
+            ),
+            seed=4,
+        )
+
+        def fates_on_a(interleave: int) -> list:
+            layer = FaultLayer(schedule, seed=9)
+            out = []
+            for i in range(300):
+                for _ in range(interleave):
+                    layer.frame_fate("S", "b", i * 0.01)
+                f = layer.frame_fate("a", "S", i * 0.01)
+                corrupted = layer.corrupt_bytes(b"frame", "S", "a") if f.corrupt else b""
+                out.append((f.dropped, f.duplicate, f.extra_delay_s, corrupted))
+            return out
+
+        alone = fates_on_a(0)
+        assert any(dropped for dropped, *_ in alone)
+        assert fates_on_a(1) == alone
+        assert fates_on_a(3) == alone
+
+    def test_fates_survive_hash_salt(self):
+        """Streams are seeded without the salted builtin hash(): another
+        interpreter under another PYTHONHASHSEED draws the same fates."""
+        probe = (
+            "from repro.net.faults import FaultLayer, burst_loss_schedule\n"
+            "layer = FaultLayer(burst_loss_schedule(0.3, seed=2), seed=5)\n"
+            "print(''.join(str(int(layer.frame_fate(s, d, 1.0).dropped))\n"
+            "    for _ in range(50) for s, d in (('S', 'a'), ('b', 'S'))))\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+
+        def run(hash_seed: str) -> str:
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            return subprocess.run(
+                [sys.executable, "-c", probe], env=env, capture_output=True,
+                text=True, check=True,
+            ).stdout
+
+        first = run("1")
+        assert "1" in first and "0" in first
+        assert run("2") == first
 
     def test_empirical_loss_near_mean(self):
         schedule = burst_loss_schedule(0.2, seed=0)

@@ -1,6 +1,6 @@
 """Failure injection: lossy links and multi-round recovery."""
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 from repro.experiments.common import make_level_fleet
 from repro.net.faults import Fault, FaultKind, FaultSchedule, burst_loss_schedule
@@ -10,7 +10,8 @@ from repro.net.run import RetryPolicy, simulate_discovery
 from repro.net.simulator import Simulator
 from repro.net.topology import SUBJECT, star
 from repro.crypto.costmodel import NEXUS6, RASPBERRY_PI3
-from repro.protocol.messages import Que2
+from repro.protocol.messages import Que1, Que2
+from repro.protocol.object import ObjectEngine
 
 LOSSY = LinkModel(loss_rate=0.25)
 VERY_LOSSY = LinkModel(loss_rate=0.5)
@@ -103,7 +104,7 @@ class TestDiscoveryUnderLoss:
 
 
 class TestRebroadcastSeeksOnlyUnfound:
-    """A re-broadcast round re-handshakes only objects not found yet."""
+    """A later round re-handshakes only objects not found yet."""
 
     def _lossy_run(self):
         subject, objects, _ = make_level_fleet(12, 2)
@@ -135,6 +136,56 @@ class TestRebroadcastSeeksOnlyUnfound:
         timeline, _ = self._lossy_run()
         found = sorted(service.object_id for service in timeline.services)
         assert found == sorted(timeline.completion)
+
+
+class TestReRoundQue1:
+    """Round 0 broadcasts QUE1; each later round unicasts it to the
+    objects still unfound, and a QUE1 is never retransmitted."""
+
+    def test_found_objects_answer_one_que1(self, monkeypatch):
+        subject, objects, _ = make_level_fleet(6, 2)
+        victim = objects[2].object_id
+        # The victim's link is down through rounds 0 and 1 (t=0, t=2 s).
+        schedule = FaultSchedule((
+            Fault(FaultKind.PARTITION, stop_s=3.0, links=((SUBJECT, victim),)),
+        ))
+        handled: Counter = Counter()
+        handle_que1 = ObjectEngine.handle_que1
+
+        def counted(engine, que1, peer_id):
+            handled[engine.creds.object_id] += 1
+            return handle_que1(engine, que1, peer_id)
+
+        monkeypatch.setattr(ObjectEngine, "handle_que1", counted)
+        sent: list[tuple[float, str]] = []
+        unicast, broadcast = GroundNetwork.unicast, GroundNetwork.broadcast
+
+        def record_unicast(net, src, dst, message):
+            if isinstance(message, Que1):
+                sent.append((net.sim.now, dst))
+            unicast(net, src, dst, message)
+
+        def record_broadcast(net, src, message):
+            sent.append((net.sim.now, "*"))
+            broadcast(net, src, message)
+
+        monkeypatch.setattr(GroundNetwork, "unicast", record_unicast)
+        monkeypatch.setattr(GroundNetwork, "broadcast", record_broadcast)
+        timeline = simulate_discovery(
+            subject, objects, faults=schedule, retry=RetryPolicy(),
+            max_rounds=4, round_interval_s=2.0,
+        )
+        found_first = {o.object_id for o in objects} - {victim}
+        assert {oid: handled[oid] for oid in found_first} == dict.fromkeys(found_first, 1)
+        # One QUE1 per later round to the unfound victim; it is found in
+        # round 2, so round 3 never starts.
+        assert sent == [(0.0, "*"), (2.0, victim), (4.0, victim)]
+        assert handled[victim] == 1
+        assert timeline.retransmissions == 0
+        assert sorted(s.object_id for s in timeline.services) == sorted(
+            o.object_id for o in objects
+        )
+        assert set(timeline.completion) == {o.object_id for o in objects}
 
 
 class TestDuplicatedLevel1Res1:

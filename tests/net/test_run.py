@@ -3,10 +3,11 @@
 import pytest
 
 from repro.experiments.common import make_level_fleet
-from repro.net.node import SizeMode, TimingMode
+from repro.net.node import GroundNetwork, SizeMode, TimingMode
 from repro.net.radio import JITTERY_WIFI
 from repro.net.run import simulate_discovery
-from repro.net.topology import paper_multihop
+from repro.net.topology import SUBJECT, paper_multihop
+from repro.protocol.messages import Res1Level1, Res2
 
 
 class TestCompleteness:
@@ -59,6 +60,24 @@ class TestTimingShape:
         timeline = simulate_discovery(subject, objects, graph=graph)
         by_hop = timeline.mean_latency_by_hops()
         assert [by_hop[h] for h in (1, 2, 3, 4)] == sorted(by_hop.values())
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_completion_stamped_when_its_own_reply_is_processed(self, level, monkeypatch):
+        """Each completion is the time the subject's CPU finished that
+        object's settling reply, not any earlier reply's."""
+        subject, objects, _ = make_level_fleet(20, level)
+        reply = Res1Level1 if level == 1 else Res2
+        processed: dict[str, float] = {}
+        deliver = GroundNetwork._deliver
+
+        def spy(net, src, dst, message):
+            deliver(net, src, dst, message)
+            if dst == SUBJECT and isinstance(message, reply):
+                processed.setdefault(src, net.nodes[dst].cpu_busy_until)
+
+        monkeypatch.setattr(GroundNetwork, "_deliver", spy)
+        timeline = simulate_discovery(subject, objects)
+        assert timeline.completion == processed
 
     def test_paper_anchor_level1_20_objects(self):
         """Fig. 6(e) anchor: 20 Level 1 objects in ~0.25 s (±40%)."""
