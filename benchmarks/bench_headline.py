@@ -25,6 +25,7 @@ from repro.crypto.costmodel import NEXUS6, RASPBERRY_PI3, abe_decrypt_ms
 from repro.crypto.pairing import PairingGroup
 from repro.crypto.secret_handshake import HandshakeAuthority, run_handshake
 from repro.experiments.common import make_level_fleet
+from repro.pki import certificate as certificate_mod
 from repro.pki import profile as profile_mod
 from repro.protocol.discovery import run_round
 from repro.protocol.object import ObjectEngine
@@ -76,7 +77,10 @@ def measure_cold_warm_handshake(iterations: int = 40) -> dict:
     """Median wall-clock of a Level 2 handshake round, cold vs warm.
 
     * cold: first contact — fresh engines (empty chain caches), cleared
-      profile-verification cache, key pool disabled (inline ECDH keygen).
+      profile-verification cache and parse cache (which also drops every
+      certificate's memo of the issuer keys it verified under, as
+      ``bench_throughput.wall_pass`` does), key pool disabled (inline
+      ECDH keygen).
     * warm: returning subject — same engines, every cache primed, the
       ephemeral-key pool pre-filled (background refill off so the pool
       never generates on the timed path).
@@ -88,6 +92,7 @@ def measure_cold_warm_handshake(iterations: int = 40) -> dict:
         cold = []
         for _ in range(iterations):
             profile_mod.clear_verify_cache()
+            certificate_mod.clear_parse_cache()
             subject = SubjectEngine(subject_creds)
             objects = {c.object_id: ObjectEngine(c) for c in object_creds}
             t0 = time.perf_counter()

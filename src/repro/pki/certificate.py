@@ -25,6 +25,7 @@ import struct
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from repro.crypto import meter
 from repro.crypto.ecdsa import SigningKey, VerifyingKey
 
 #: Paper-nominal TBS size at 128-bit (§IX-A: "X.509 ECDSA certificate of 552 B").
@@ -36,14 +37,21 @@ NOMINAL_CERT_WIRE = NOMINAL_CERT_BODY + 64
 #: are frozen and their encoding is canonical, so the parsed instance
 #: can be shared freely; the win is the intermediate/admin certificate
 #: that appears byte-identical inside every chain an engine sees (each
-#: parse re-loads the embedded EC point otherwise).  LRU-bounded;
-#: failures are never cached.
+#: parse re-loads the embedded EC point otherwise).  Each parsed
+#: instance also carries the issuer keys its signature has verified
+#: under (:meth:`Certificate.verify_signature`), so every engine and
+#: verifier in the process that sees these bytes again skips the ECDSA
+#: check.  LRU-bounded; a failed parse or a failed check is never
+#: cached.
 _PARSE_CACHE: OrderedDict[bytes, "Certificate"] = OrderedDict()
 _PARSE_CACHE_MAX = 4096
 
 
 def clear_parse_cache() -> None:
-    """Forget parsed certificates (cold-path benchmarks and tests)."""
+    """Forget parsed certificates and the issuer keys they verified
+    under (cold-path benchmarks and tests)."""
+    for cert in _PARSE_CACHE.values():
+        cert.__dict__["_verified_by"].clear()
     _PARSE_CACHE.clear()
 
 
@@ -154,6 +162,7 @@ class Certificate:
         wire = bytes(data)
         object.__setattr__(cert, "_tbs_cache", wire[:offset])
         object.__setattr__(cert, "_bytes_cache", wire)
+        object.__setattr__(cert, "_verified_by", set())
         _PARSE_CACHE[wire] = cert
         if len(_PARSE_CACHE) > _PARSE_CACHE_MAX:
             _PARSE_CACHE.popitem(last=False)
@@ -162,8 +171,26 @@ class Certificate:
     # -- verification -------------------------------------------------------------
 
     def verify_signature(self, issuer_key: VerifyingKey) -> bool:
-        """Check the issuer's signature over the TBS bytes."""
-        return issuer_key.verify(self.signature, self.tbs())
+        """Check the issuer's signature over the TBS bytes.
+
+        A parsed certificate remembers each issuer key (by its bytes)
+        that its signature verified under: the answer is a pure function
+        of bytes already checked, so a repeat check under the same key
+        meters the logical ``ecdsa_verify`` plus ``cert_verify_cached``
+        and skips the real one.  Failures are not remembered, and any
+        other key pays a real verify.
+        """
+        verified_by = self.__dict__.get("_verified_by")
+        issuer = issuer_key.to_bytes()
+        if verified_by is not None and issuer in verified_by:
+            meter.record("ecdsa_verify", issuer_key.strength)
+            meter.record("cert_verify_cached", issuer_key.strength)
+            return True
+        if not issuer_key.verify(self.signature, self.tbs()):
+            return False
+        if verified_by is not None:
+            verified_by.add(issuer)
+        return True
 
     def valid_at(self, now: int) -> bool:
         return self.not_before <= now <= self.not_after

@@ -18,6 +18,14 @@ entry), and never sees revocation — the engines check the revocation
 list *after* chain verification, so a revoked-but-cached subject is
 still rejected. Hits meter the logical ``ecdsa_verify`` (one per warm
 handshake, exactly the §IX-B count) plus ``cert_verify_cached``.
+
+Both caches are per verifier, so a fresh engine starts cold. Below them,
+each parsed certificate (shared process-wide by the parse cache)
+remembers the issuer keys its signature verified under
+(:meth:`~repro.pki.certificate.Certificate.verify_signature`): a fresh
+verifier still walks every check and meters its first-contact count,
+but a leaf or intermediate already checked anywhere in the process
+costs no real ECDSA verify.
 """
 
 from __future__ import annotations
@@ -144,7 +152,10 @@ class ChainVerifier:
 
         This is the one intermediate-CA check a handshake pays the first
         time this verifier sees a chain: §IX-B counts 3 ``ecdsa_verify``
-        per side per handshake, plus this check on first contact.
+        per side per handshake, plus this check on first contact.  The
+        check is always metered; when another verifier in the process
+        has already checked the same intermediate bytes, the parsed
+        certificate's memo answers it without a real verify.
         """
         first = intermediates[0]
         cache_key = first.to_bytes()

@@ -2,11 +2,20 @@
 
 import pytest
 
+from repro.backend.registration import Backend
+from repro.backend.synthetic import SyntheticConfig, generate, provision
+from repro.crypto import meter
+from repro.crypto.costmodel import CACHE_MARKER_OPS
+from repro.crypto.ecdsa import VerifyingKey
 from repro.experiments.common import make_level_fleet
+from repro.experiments.fault_recovery import RECOVERY
+from repro.net.faults import burst_loss_schedule
 from repro.net.node import GroundNetwork, SizeMode, TimingMode
 from repro.net.radio import JITTERY_WIFI
 from repro.net.run import simulate_discovery
 from repro.net.topology import SUBJECT, paper_multihop
+from repro.pki.certificate import clear_parse_cache
+from repro.pki.profile import clear_verify_cache
 from repro.protocol.messages import Res1Level1, Res2
 
 
@@ -122,3 +131,54 @@ class TestModes:
         timeline = simulate_discovery(subject, objects)
         assert timeline.subject_compute_s > 0
         assert all(v > 0 for v in timeline.object_compute_s.values())
+
+
+class TestCertificateMemo:
+    def test_warm_memo_replays_the_cold_run_with_fewer_real_verifies(
+        self, monkeypatch
+    ):
+        """One subject simulated twice in one process: the second run
+        answers every certificate check from the memo the first filled,
+        and its simulated timeline and logical op tallies are identical."""
+        enterprise = generate(SyntheticConfig(
+            n_subjects=4, n_buildings=1, rooms_per_building=3,
+            objects_per_room=3, gamma=2,
+        ))
+        backend = Backend()
+        provision(enterprise, backend)
+        objects = [backend.issued_objects[o] for o in sorted(backend.issued_objects)]
+        subject = backend.issued_subjects[min(backend.issued_subjects)]
+        real = {"n": 0}
+        verify = VerifyingKey.verify
+
+        def counted(self, signature, message):
+            real["n"] += 1
+            return verify(self, signature, message)
+
+        monkeypatch.setattr(VerifyingKey, "verify", counted)
+        clear_parse_cache()
+        clear_verify_cache()
+        runs = []
+        for _ in range(2):
+            real["n"] = 0
+            with meter.metered() as tally:
+                timeline = simulate_discovery(
+                    subject, objects, seed=0, retry=RECOVERY,
+                    faults=burst_loss_schedule(0.20, seed=0),
+                    max_rounds=150, deadline_s=300.0,
+                )
+            logical = {
+                op: n for op, n in tally.snapshot().items()
+                if op[0] not in CACHE_MARKER_OPS
+            }
+            runs.append((timeline, logical, real["n"]))
+        (cold, cold_ops, cold_real), (warm, warm_ops, warm_real) = runs
+        assert warm.retransmissions > 0  # the loss really exercised retries
+        assert warm.completion == cold.completion
+        assert len(warm.completion) == len(objects)
+        assert warm.subject_compute_s == cold.subject_compute_s
+        assert warm.object_compute_s == cold.object_compute_s
+        assert warm_ops == cold_ops
+        assert warm_real < cold_real
+        # left: the RES1 and QUE2 signatures, which are new every handshake
+        assert warm_real <= 1.6 * len(warm.completion)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.crypto import meter
 from repro.crypto.ecdsa import generate_signing_key
-from repro.pki.certificate import CertificateChain, issue_certificate
+from repro.pki.certificate import CertificateChain, clear_parse_cache, issue_certificate
 from repro.pki.chain import ChainVerifier
 
 
@@ -87,6 +87,7 @@ class TestCaching:
 
 class TestLeafAndChainCaches:
     def test_cold_verify_has_no_cached_marker(self, pki):
+        clear_parse_cache()
         root, _, _, chain = pki
         verifier = ChainVerifier("root", root.public_key)
         with meter.metered() as tally:
@@ -144,6 +145,7 @@ class TestLeafAndChainCaches:
         assert verifier.verify_chain_bytes(bad_chain) is None  # still rejected
 
     def test_clear_caches_forces_full_reverify(self, pki):
+        clear_parse_cache()
         root, _, _, chain = pki
         verifier = ChainVerifier("root", root.public_key)
         verifier.warm_up(chain)

@@ -15,6 +15,7 @@ import pytest
 from repro.backend import Backend
 from repro.backend.updates import ChurnEngine
 from repro.crypto import keypool
+from repro.pki.certificate import clear_parse_cache
 from repro.pki.profile import clear_verify_cache
 from repro.protocol.discovery import run_round
 from repro.protocol.object import ObjectEngine
@@ -54,8 +55,21 @@ class TestWarmRoundAccounting:
             pool.background_refill = old
             pool.drain()
 
-    def test_cold_round_has_no_cache_markers(self, staff, media):
+    def test_cold_round_has_no_cache_markers(self):
         clear_verify_cache()
+        clear_parse_cache()
+        # Subject and object certified under different regions: their
+        # chains share no certificate, so neither side's first check can
+        # fill the process certificate memo for the other.
+        backend = Backend(regions=("east", "west"))
+        backend.add_policy(
+            "staff-media", "position=='staff'", "type=='multimedia'", ("play",)
+        )
+        staff = backend.register_subject("cold-staff", {"position": "staff"}, region="east")
+        media = backend.register_object(
+            "cold-media", {"type": "multimedia"}, level=2, functions=("play",),
+            variants=[("position=='staff'", ("play",))], region="west",
+        )
         subject = SubjectEngine(staff)
         objects = {media.object_id: ObjectEngine(media)}
         result = run_round(subject, objects)
@@ -130,6 +144,43 @@ class TestSecurityUnchangedWarm:
         result2 = run_round(subject2, {media.object_id: engine})
         assert not result2.services
         assert any("revoked" in str(e) for e in engine.errors)
+
+    def test_revoked_subject_refused_with_certificate_memoized(self, staff, media):
+        """A fresh engine answers the subject's chain from the process
+        certificate memo, and still checks revocation after it."""
+        clear_parse_cache()
+        run_round(SubjectEngine(staff), {media.object_id: ObjectEngine(media)})
+        creds = dataclasses.replace(media, revoked_subjects={staff.subject_id})
+        engine = ObjectEngine(creds)
+        result = run_round(SubjectEngine(staff), {media.object_id: engine})
+        assert not result.services
+        # leaf + intermediate both served from the memo
+        assert result.object_ops[media.object_id].total("cert_verify_cached") == 2
+        assert any("revoked" in str(e) for e in engine.errors)
+
+    def test_leaf_outside_window_refused_with_certificate_memoized(self):
+        backend = Backend()
+        backend.add_policy(
+            "staff-media", "position=='staff'", "type=='multimedia'", ("play",)
+        )
+        subject = backend.register_subject("windowed", {"position": "staff"})
+        obj = backend.register_object(
+            "media-w", {"type": "multimedia"}, level=2, functions=("play",),
+            variants=[("position=='staff'", ("play",))],
+        )
+        backend.reissue_certificate("windowed", not_before=10, not_after=100)
+
+        def round_at(now: int, engine: ObjectEngine):
+            return run_round(SubjectEngine(subject, now=now), {obj.object_id: engine})
+
+        clear_parse_cache()
+        assert round_at(50, ObjectEngine(obj, now=50)).services  # memo warm
+        for now in (9, 101):
+            engine = ObjectEngine(obj, now=now)
+            assert not round_at(now, engine).services
+            assert any("bad subject chain" in str(e) for e in engine.errors)
+        for now in (10, 100):  # the window's own bounds lie inside it
+            assert round_at(now, ObjectEngine(obj, now=now)).services
 
     def test_que2_replay_rejected_warm(self, staff, media):
         subject = SubjectEngine(staff)
